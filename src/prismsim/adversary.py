@@ -249,7 +249,7 @@ class PrivateDoubleSpendStrategy(Strategy):
 
 
 def install_strategies(sim) -> None:
-    """Instantiate the configured strategy on every adversarial node."""
+    """Instantiate and attach the configured strategy on every adversarial node."""
     adv = sim.cfg["adversary"]
     for node in sim.nodes:
         if not node.adversarial:
@@ -264,6 +264,8 @@ def install_strategies(sim) -> None:
                 release_margin=adv["release_margin"],
                 release_timeout=adv["release_timeout_fraction"] * sim.cfg["duration"],
             )
+        if node.strategy is not None:
+            node.strategy.attach(sim, node)
 
 
 def spam_bound_exponential(rate: float, delta: float) -> float:

@@ -1,4 +1,4 @@
-"""Longest-chain protocol on the same simulator, plus reversal analytics.
+"""Longest-chain protocol on the shared event core, plus reversal analytics.
 
 The baseline validates transactions against the miner's current ledger
 before inclusion, so its ledgers never need sanitization; confirmation
@@ -8,42 +8,16 @@ compare both protocols' reliability-depth tradeoffs.
 """
 from __future__ import annotations
 
-import heapq
 import math
-import time as _time
-from dataclasses import dataclass
 
-import numpy as np
-
-from .config import config_digest
-from .confirmation import LatencySample
-from .crypto import get_scheme, sha256
-from .ledger import APPLIED, Transaction, TxInput, TxOutput, Utxo, execute, signed_transaction, total_value
-from .metrics import MetricsReport, latency_stats
-from .netsim import (
-    ARRIVE,
-    CHECKPOINT,
-    MINE,
-    TX,
-    Topology,
-    build_topology,
-)
+from .chain import drain_orphans
+from .confirmation import LatencySample, _poisson_pmf_prefix
+from .crypto import sha256
+from .ledger import APPLIED, Transaction, execute, execute_with_fee
+from .netsim import TX_RELAY, EventCore, Peer
 from .serialize import u64
 
 # --- analytics ------------------------------------------------------------------
-
-
-def _poisson_pmf_prefix(lam: float, d: int) -> list[float]:
-    if lam == 0.0:
-        return [1.0] + [0.0] * d
-    log_lam = math.log(lam)
-    out = []
-    log_f = -lam
-    for k in range(d + 1):
-        if k > 0:
-            log_f += log_lam - math.log(k)
-        out.append(math.exp(log_f))
-    return out
 
 
 def nakamoto_reversal(k: int, beta: float) -> float:
@@ -122,7 +96,6 @@ class LCState:
         self.scheme = scheme
         self.genesis_utxo = genesis_utxo
         self.entries: dict[bytes, tuple[LCBlock, int]] = {}  # digest -> (block, chainlen)
-        self.children: dict[bytes, list[bytes]] = {}
         self.tip = LC_GENESIS
         self.tip_chainlen = 0
         self.orphans: dict[bytes, list[LCBlock]] = {}
@@ -165,6 +138,12 @@ class LCState:
         return True
 
     def _insert(self, block: LCBlock) -> None:
+        self._store(block)
+        for child in drain_orphans(self.orphans, block.digest):
+            self.orphan_digests.discard(child.digest)
+            self._store(child)
+
+    def _store(self, block: LCBlock) -> None:
         parent_len = 0 if block.parent == LC_GENESIS else self.entries[block.parent][1]
         chainlen = parent_len + 1
         self.entries[block.digest] = (block, chainlen)
@@ -181,11 +160,6 @@ class LCState:
                 self.tip = block.digest
                 self.tip_chainlen = chainlen
                 self._rebuild_tip_state()
-        waiting = self.orphans.pop(block.digest, None)
-        if waiting:
-            for child in waiting:
-                self.orphan_digests.discard(child.digest)
-                self._insert(child)
 
     def _rebuild_tip_state(self) -> None:
         self.tip_utxo = dict(self.genesis_utxo)
@@ -218,22 +192,10 @@ class LCState:
         return 1.0 - self.tip_chainlen / total
 
 
-class LCNode:
+class LCNode(Peer):
     def __init__(self, node_id: int, sim: "LongestChainSimulation", hash_power: float):
-        self.id = node_id
-        self.sim = sim
-        self.hash_power = hash_power
+        super().__init__(node_id, sim, hash_power)
         self.state = LCState(sim.genesis_utxo, sim.scheme)
-        self.rng = np.random.default_rng([sim.seed, 1, node_id])
-        self.mining_epoch = 0
-
-    def reschedule_mining(self, now: float) -> None:
-        self.mining_epoch += 1
-        rate = self.sim.rate * self.hash_power
-        if rate <= 0:
-            return
-        when = now + float(self.rng.exponential(1.0 / rate))
-        self.sim.push(when, MINE, (self.id, self.mining_epoch))
 
     def on_mining_complete(self, now: float, epoch: int) -> None:
         if epoch != self.mining_epoch:
@@ -242,7 +204,7 @@ class LCNode:
         block = LCBlock(self.state.tip, txs, int(self.rng.integers(2**62)), self.id)
         self.sim.record_mined(block, now)
         self.state.receive_block(block)
-        self.sim.broadcast_block(self.id, block, now, exclude=None)
+        self.sim.broadcast(self.id, block, now, exclude=None)
         self.reschedule_mining(now)
 
     def on_block(self, block: LCBlock, from_peer: int, now: float) -> None:
@@ -250,156 +212,70 @@ class LCNode:
             return
         old_tip = self.state.tip
         self.state.receive_block(block)
-        self.sim.broadcast_block(self.id, block, now, exclude=from_peer)
+        self.sim.broadcast(self.id, block, now, exclude=from_peer)
         if self.state.tip != old_tip:
             self.reschedule_mining(now)
 
-    def on_transaction(self, tx: Transaction, from_peer: int | None, now: float) -> None:
+    def on_transaction(self, tx: Transaction, now: float, from_peer: int | None = None) -> None:
         if not self.state.add_transaction(tx):
             return
         # the longest-chain protocol gossips pending transactions
-        for peer in self.sim.neighbors[self.id]:
-            if peer != from_peer:
-                arrival = self.sim.link_arrival(self.id, peer, self.sim.tx_bytes, now)
-                self.sim.push(arrival, TX, (peer, tx, self.id))
+        self.sim.gossip(self.id, TX_RELAY, tx, self.sim.tx_bytes, now, exclude=from_peer)
         self.reschedule_mining(now)
 
 
-class LongestChainSimulation:
-    """k-deep-confirmation baseline sharing the network model."""
+class LongestChainSimulation(EventCore):
+    """k-deep-confirmation baseline on the shared event core."""
+
+    protocol = "longest_chain"
 
     def __init__(self, cfg: dict, seed: int):
-        self.cfg = cfg
-        self.seed = seed
-        self.scheme = get_scheme(cfg["signature_scheme"])
         lc = cfg["longest_chain"]
-        self.rate = lc["rate"]
+        super().__init__(cfg, seed, lc["rate"])
         self.capacity = lc["block_capacity"]
         self.confirm_depth = lc["confirm_depth"]
-        self.topology: Topology = build_topology(cfg, seed)
-        self.neighbors = self.topology.neighbors()
-        self.duration = cfg["duration"]
         self.tx_bytes = cfg["sizes"]["bytes_per_tx"]
-
-        self.now = 0.0
-        self.heap: list = []
-        self.seq = 0
-        self.link_free: dict[tuple[int, int], float] = {}
-
-        self.workload_rng = np.random.default_rng([seed, 2])
-        self.wallets = [
-            self.scheme.keypair(b"wallet" + i.to_bytes(4, "little"))
-            for i in range(cfg["workload"]["wallets"])
-        ]
-        self.genesis_utxo = self._build_genesis_utxo()
-        self._unused_coins = list(self.genesis_utxo.values())
-        self._next_coin = 0
 
         n = self.topology.n
         self.nodes = [LCNode(i, self, 1.0 / n) for i in range(n)]
         self.observer = 0
 
-        self.mine_times: dict[bytes, float] = {}
         self.block_count = 0
-        self.generated_txs = 0
         self.confirmed_blocks: list[bytes] = []
         self.confirmed_utxo = dict(self.genesis_utxo)
         self.confirmed_count = 0
         self.fees: list[int] = []
-        self.latency_samples: list[LatencySample] = []
         self.reversals = 0
-        self.timeseries: list[dict] = []
 
-    def _build_genesis_utxo(self) -> dict:
-        wl = self.cfg["workload"]
-        count = wl["genesis_coins"] or int(math.ceil(wl["tps"] * self.duration * 1.25)) + 10
-        utxo = {}
-        for i in range(count):
-            owner = self.wallets[i % len(self.wallets)]
-            coin = Utxo(b"genesis-coin" + i.to_bytes(8, "little") + bytes(12), 0, wl["coin_value"], owner.public)
-            utxo[coin.id] = coin
-        return utxo
+    def _wire_size(self, block: LCBlock) -> int:
+        return self.cfg["sizes"]["block_overhead_bytes"] + self.tx_bytes * len(block.txs)
 
-    def push(self, when: float, kind: int, payload) -> None:
-        self.seq += 1
-        heapq.heappush(self.heap, (when, self.seq, kind, payload))
-
-    def link_arrival(self, sender: int, receiver: int, size: int, now: float) -> float:
-        key = (sender, receiver)
-        start = max(now, self.link_free.get(key, 0.0))
-        done = start + size / self.topology.bandwidth
-        self.link_free[key] = done
-        return done + self.topology.delay_s
-
-    def broadcast_block(self, sender: int, block: LCBlock, now: float, exclude: int | None) -> None:
-        size = self.cfg["sizes"]["block_overhead_bytes"] + self.tx_bytes * len(block.txs)
-        for peer in self.neighbors[sender]:
-            if peer != exclude:
-                arrival = self.link_arrival(sender, peer, size, now)
-                self.push(arrival, ARRIVE, (peer, block, sender))
+    def _handle_event(self, kind: int, payload, now: float) -> None:
+        if kind == TX_RELAY:
+            receiver, tx, sender = payload
+            self.nodes[receiver].on_transaction(tx, now, sender)
 
     def record_mined(self, block: LCBlock, now: float) -> None:
         self.mine_times[block.digest] = now
         self.block_count += 1
 
-    def _next_payment(self) -> Transaction | None:
-        if self._next_coin >= len(self._unused_coins):
-            return None
-        coin = self._unused_coins[self._next_coin]
-        self._next_coin += 1
-        owner = next(w for w in self.wallets if w.public == coin.owner)
-        recipient = self.wallets[int(self.workload_rng.integers(len(self.wallets)))]
-        return signed_transaction(
-            self.scheme, [TxInput(*coin.id)], [TxOutput(coin.value, recipient.public)], [owner]
-        )
-
-    def run(self):
-        from .netsim import RunResult
-
-        started = _time.time()
-        for node in self.nodes:
-            node.reschedule_mining(0.0)
-        tps = self.cfg["workload"]["tps"]
-        if tps > 0:
-            self.push(float(self.workload_rng.exponential(1.0 / tps)), TX, None)
-        self.push(self.cfg["checkpoint_interval"], CHECKPOINT, None)
-
-        heap = self.heap
-        while heap:
-            when, _, kind, payload = heapq.heappop(heap)
-            if when > self.duration:
-                break
-            self.now = when
-            if kind == ARRIVE:
-                receiver, block, sender = payload
-                self.nodes[receiver].on_block(block, sender, when)
-            elif kind == MINE:
-                node_id, epoch = payload
-                self.nodes[node_id].on_mining_complete(when, epoch)
-            elif kind == TX:
-                if payload is None:
-                    tx = self._next_payment()
-                    self.push(when + float(self.workload_rng.exponential(1.0 / tps)), TX, None)
-                    if tx is not None:
-                        self.generated_txs += 1
-                        node = int(self.workload_rng.integers(len(self.nodes)))
-                        self.nodes[node].on_transaction(tx, None, when)
-                else:
-                    receiver, tx, sender = payload
-                    self.nodes[receiver].on_transaction(tx, sender, when)
-            elif kind == CHECKPOINT:
-                self._checkpoint(when)
-                self.push(when + self.cfg["checkpoint_interval"], CHECKPOINT, None)
-        self.now = self.duration
-        self._checkpoint(self.duration)
-        report = self._report(started)
-        return RunResult(report=report, sim=self)
+    def _confirm(self, block: LCBlock, now: float | None = None) -> None:
+        """Apply a block to the confirmed ledger; with ``now``, record the
+        latency of each transaction it applies."""
+        mined_at = self.mine_times.get(block.digest, 0.0)
+        for tx in block.txs:
+            fee = execute_with_fee(tx, self.confirmed_utxo, self.scheme)
+            if fee is None:
+                continue
+            self.confirmed_count += 1
+            self.fees.append(fee)
+            if now is not None:
+                self.latency_samples.append(LatencySample(tx.digest, mined_at, now))
 
     def _checkpoint(self, now: float) -> None:
         state = self.nodes[self.observer].state
         chain = state.main_chain()
-        deep = len(chain) - (self.confirm_depth - 1)  # blocks with depth >= k
-        deep = max(0, deep)
+        deep = max(0, len(chain) - (self.confirm_depth - 1))  # blocks with depth >= k
         for i, confirmed in enumerate(self.confirmed_blocks):
             if i >= len(chain) or chain[i].digest != confirmed:
                 # a confirmed block left the main chain: roll the confirmed
@@ -410,30 +286,11 @@ class LongestChainSimulation:
                 self.confirmed_count = 0
                 self.fees = []
                 for block in chain[:i]:
-                    for tx in block.txs:
-                        fee_in = sum(
-                            self.confirmed_utxo[c].value
-                            for c in tx.input_ids()
-                            if c in self.confirmed_utxo
-                        )
-                        if execute(tx, self.confirmed_utxo, self.scheme) is APPLIED:
-                            self.confirmed_count += 1
-                            self.fees.append(fee_in - sum(o.value for o in tx.outputs))
+                    self._confirm(block)
                 break
-        for i in range(len(self.confirmed_blocks), deep):
-            block = chain[i]
+        for block in chain[len(self.confirmed_blocks):deep]:
             self.confirmed_blocks.append(block.digest)
-            mined_at = self.mine_times.get(block.digest, 0.0)
-            for tx in block.txs:
-                fee_in = sum(
-                    self.confirmed_utxo[c].value
-                    for c in tx.input_ids()
-                    if c in self.confirmed_utxo
-                )
-                if execute(tx, self.confirmed_utxo, self.scheme) is APPLIED:
-                    self.confirmed_count += 1
-                    self.fees.append(fee_in - sum(o.value for o in tx.outputs))
-                    self.latency_samples.append(LatencySample(tx.digest, mined_at, now))
+            self._confirm(block, now)
         self.timeseries.append(
             {
                 "time": now,
@@ -448,29 +305,10 @@ class LongestChainSimulation:
             }
         )
 
-    def _report(self, started: float) -> MetricsReport:
+    def _protocol_report(self) -> dict:
         cfg = self.cfg
-        steady_start = cfg["steady_state_fraction"] * self.duration
-        window = self.duration - steady_start
-        sanitized_in_window = sum(
-            1 for s in self.latency_samples if s.confirmed_at >= steady_start
-        )
         state = self.nodes[self.observer].state
-        conservation_ok = total_value(self.confirmed_utxo) == total_value(
-            self.genesis_utxo
-        ) - sum(self.fees)
-        return MetricsReport(
-            protocol="longest_chain",
-            seed=self.seed,
-            config_digest=config_digest(cfg),
-            duration=self.duration,
-            steady_state_start=steady_start,
-            topology={
-                "nodes": self.topology.n,
-                "edges": len(self.topology.edges),
-                "diameter": self.topology.diameter,
-                "mean_hops": self.topology.mean_hops,
-            },
+        return dict(
             blocks={
                 "transaction": 0,
                 "proposer": 0,
@@ -478,12 +316,6 @@ class LongestChainSimulation:
                 "chain": self.block_count,
                 "total": self.block_count,
             },
-            throughput={
-                "generated_tps": self.generated_txs / self.duration,
-                "confirmed_raw_tps": sanitized_in_window / window,
-                "confirmed_sanitized_tps": sanitized_in_window / window,
-            },
-            latency=latency_stats(self.latency_samples, steady_start),
             forking={"voter": None, "proposer": None, "chain": state.fork_rate()},
             confirmation={
                 "beta": cfg["prism"]["beta"],
@@ -508,6 +340,5 @@ class LongestChainSimulation:
             },
             mempool_final=state.mempool_size(),
             invalid_blocks=0,
-            conservation_ok=conservation_ok,
-            wallclock={"finished_unix": _time.time(), "runtime_s": _time.time() - started},
+            conservation_ok=self._conserves(self.confirmed_utxo, self.fees),
         )

@@ -39,7 +39,7 @@ class BlockType:
         """Position of this type in the committed parent/content lists."""
         if self.kind == VOTER:
             if self.chain_index >= m:
-                raise ValueError(f"voter index {self.chain_index} >= m={m}")
+                raise BadSortitionProof(f"voter index {self.chain_index} >= m={m}")
             return self.chain_index
         if self.kind == TRANSACTION:
             return m

@@ -23,6 +23,26 @@ FIRST_SEEN = "first_seen"
 MOST_VOTED = "most_voted"
 
 
+def drain_orphans(orphans: dict[bytes, list], digest: bytes):
+    """Pop and yield the blocks buffered below ``digest``, depth first.
+
+    The caller inserts each block before the next one is drawn.  A child
+    and its own waiting descendants come before the child's next sibling,
+    so the first arrival keeps a tip tie.  An explicit stack keeps deep
+    chains clear of the recursion limit.
+    """
+    pending = [iter(orphans.pop(digest, ()))]
+    while pending:
+        block = next(pending[-1], None)
+        if block is None:
+            pending.pop()
+            continue
+        yield block
+        waiting = orphans.pop(block.digest, None)
+        if waiting:
+            pending.append(iter(waiting))
+
+
 @dataclass
 class MempoolTx:
     tx: Transaction
@@ -263,16 +283,12 @@ class ChainState:
 
     def _resolve_orphans(self, digest: bytes) -> list[str]:
         changes: list[str] = []
-        waiting = self.orphans.pop(digest, None)
-        if not waiting:
-            return changes
-        for block in waiting:
+        for block in drain_orphans(self.orphans, digest):
             self.orphan_digests.discard(block.digest)
             if block.block_type.kind == VOTER:
                 changes.extend(self._insert_voter(block))
             else:
                 changes.extend(self._insert_proposer(block))
-            changes.extend(self._resolve_orphans(block.digest))
         return changes
 
     def _receive_tx_block(self, block: Block) -> list[str]:

@@ -42,10 +42,8 @@ def _write_run_outputs(result, out_dir: str) -> None:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
-    if hasattr(sim, "engine"):
-        samples, trace = sim.engine.latency_samples, sim.engine.trace
-    else:
-        samples, trace = sim.latency_samples, []
+    samples = sim.latency_samples
+    trace = sim.engine.trace if hasattr(sim, "engine") else []
     with open(os.path.join(out_dir, "latency.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tx", "mined_at", "confirmed_at", "latency_s"])

@@ -182,6 +182,8 @@ def validate(cfg: dict) -> None:
 
     if cfg["workload"]["tps"] < 0:
         raise ConfigError("workload.tps", "must be >= 0")
+    if cfg["workload"]["wallets"] < 1:
+        raise ConfigError("workload.wallets", "must be >= 1")
 
 
 def config_digest(cfg: dict) -> str:

@@ -21,7 +21,7 @@ from scipy.special import ndtri
 
 from .chain import ChainState
 from .crypto import SignatureScheme
-from .ledger import CoinId, Transaction, Utxo, execute, APPLIED, sanitize
+from .ledger import CoinId, Transaction, Utxo, execute_with_fee, sanitize
 from .serialize import hex_digest
 
 
@@ -306,43 +306,60 @@ def raw_leader(state: ChainState, level: int) -> bytes | None:
 # --- ledger formation ---------------------------------------------------------
 
 
-def build_ledger(
-    leader_sequence: Iterable[bytes], state: ChainState
+def expand_proposer(
+    digest: bytes, state: ChainState, included_prp: set[bytes], included_tx: set[bytes]
 ) -> list[tuple[Transaction, bytes]]:
-    """Depth-first expansion of the leader sequence into an ordered tx list.
+    """Ledger entries one proposer block adds on top of the included sets.
 
-    For each leader in level order: recursively include not-yet-included
-    referenced proposer blocks (parent first, then reference order), then
-    its transaction blocks in reference order.  Every proposer and
-    transaction block enters at most once.  Returns (transaction, id of
-    its containing transaction block) pairs in ledger order.
+    Depth first with an explicit stack: a not-yet-included proposer block
+    expands its parent, then its referenced proposer blocks in reference
+    order, then contributes its not-yet-included transaction blocks in
+    reference order.  Both sets are updated in place, so every block
+    enters at most once across calls that share them.  Returns
+    (transaction, id of its containing transaction block) pairs.
     """
-    included_prp: set[bytes] = set()
-    included_tx: set[bytes] = set()
     ledger: list[tuple[Transaction, bytes]] = []
-
-    def expand(digest: bytes) -> None:
-        if digest == state.proposer_genesis or digest in included_prp:
-            return
-        entry = state.prp_entries.get(digest)
-        if entry is None:
-            raise MissingBlockError(f"proposer block {hex_digest(digest)} not stored")
-        included_prp.add(digest)
-        expand(entry.parent)
-        for ref in entry.block.content.prp_refs:
-            expand(ref)
-        for ref in entry.block.content.tx_refs:
+    # proposer digests still to visit, and the contents of visited blocks
+    # whose transaction blocks come due once everything above them is done
+    stack: list = [digest]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, bytes):
+            if item == state.proposer_genesis or item in included_prp:
+                continue
+            entry = state.prp_entries.get(item)
+            if entry is None:
+                raise MissingBlockError(f"proposer block {hex_digest(item)} not stored")
+            included_prp.add(item)
+            stack.append(entry.block.content)
+            stack.extend(reversed((entry.parent, *entry.block.content.prp_refs)))
+            continue
+        for ref in item.tx_refs:
             if ref in included_tx:
                 continue
             tx_block = state.tx_blocks.get(ref)
             if tx_block is None:
                 raise MissingBlockError(f"transaction block {hex_digest(ref)} not stored")
             included_tx.add(ref)
-            for tx in tx_block.content.txs:
-                ledger.append((tx, ref))
+            ledger.extend((tx, ref) for tx in tx_block.content.txs)
+    return ledger
 
+
+def build_ledger(
+    leader_sequence: Iterable[bytes], state: ChainState
+) -> list[tuple[Transaction, bytes]]:
+    """Expansion of the leader sequence into an ordered tx list.
+
+    Each leader in level order adds what :func:`expand_proposer` gives
+    it, so every proposer and transaction block enters at most once.
+    Returns (transaction, id of its containing transaction block) pairs
+    in ledger order.
+    """
+    included_prp: set[bytes] = set()
+    included_tx: set[bytes] = set()
+    ledger: list[tuple[Transaction, bytes]] = []
     for leader in leader_sequence:
-        expand(leader)
+        ledger += expand_proposer(leader, state, included_prp, included_tx)
     return ledger
 
 
@@ -451,37 +468,13 @@ class ConfirmationEngine:
         self.trace: list[dict] = []
 
     def _expand_leader(self, leader: bytes, now: float) -> None:
-        pending: list[tuple[Transaction, bytes]] = []
-
-        def expand(digest: bytes) -> None:
-            if digest == self.state.proposer_genesis or digest in self.included_prp:
-                return
-            entry = self.state.prp_entries.get(digest)
-            if entry is None:
-                raise MissingBlockError(hex_digest(digest))
-            self.included_prp.add(digest)
-            expand(entry.parent)
-            for ref in entry.block.content.prp_refs:
-                expand(ref)
-            for ref in entry.block.content.tx_refs:
-                if ref in self.included_tx:
-                    continue
-                tx_block = self.state.tx_blocks.get(ref)
-                if tx_block is None:
-                    raise MissingBlockError(hex_digest(ref))
-                self.included_tx.add(ref)
-                for tx in tx_block.content.txs:
-                    pending.append((tx, ref))
-
-        expand(leader)
+        pending = expand_proposer(leader, self.state, self.included_prp, self.included_tx)
         self.raw_count += len(pending)
         for tx, block_digest in pending:
-            fee_in = sum(
-                self.utxo[i].value for i in tx.input_ids() if i in self.utxo
-            )
-            if execute(tx, self.utxo, self.scheme) is APPLIED:
+            fee = execute_with_fee(tx, self.utxo, self.scheme)
+            if fee is not None:
                 self.sanitized_count += 1
-                self.fees.append(fee_in - sum(o.value for o in tx.outputs))
+                self.fees.append(fee)
                 self.latency_samples.append(
                     LatencySample(tx.digest, self.mine_time_of(block_digest), now)
                 )

@@ -186,6 +186,14 @@ def execute(tx: Transaction, utxo_set: dict[CoinId, Utxo], scheme: SignatureSche
     return APPLIED
 
 
+def execute_with_fee(tx: Transaction, utxo_set: dict[CoinId, Utxo], scheme: SignatureScheme) -> int | None:
+    """:func:`execute`, returning the fee when ``tx`` applied and None otherwise."""
+    value_in = sum(utxo_set[c].value for c in tx.input_ids() if c in utxo_set)
+    if execute(tx, utxo_set, scheme) is not APPLIED:
+        return None
+    return value_in - sum(o.value for o in tx.outputs)
+
+
 def sanitize(
     txs: Iterable[Transaction],
     utxo_set: dict[CoinId, Utxo],

@@ -7,14 +7,10 @@ sub-object so determinism checks can ignore it.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-
-from .config import config_digest
-from .ledger import total_value
 
 
 def latency_stats(samples, steady_start: float) -> dict:
@@ -89,92 +85,3 @@ class MetricsReport:
         out = self.to_dict()
         out.pop("wallclock")
         return out
-
-    @classmethod
-    def from_simulation(cls, sim) -> "MetricsReport":
-        cfg = sim.cfg
-        steady_start = cfg["steady_state_fraction"] * sim.duration
-        window = sim.duration - steady_start
-        engine = sim.engine
-        sanitized_in_window = sum(
-            1 for s in engine.latency_samples if s.confirmed_at >= steady_start
-        )
-        raw_at_cutoff = 0
-        for row in sim.timeseries:
-            if row["time"] >= steady_start:
-                break
-            raw_at_cutoff = row["confirmed_raw"]
-        observer_state = sim.nodes[sim.observer].state
-        adv = cfg["adversary"]
-        target = adv["target_level"] if adv["strategy"] == "private_double_spend" else None
-        released = None
-        if adv["strategy"] == "private_double_spend":
-            strategy = sim.nodes[-1].strategy
-            released = bool(strategy is not None and strategy.released)
-        reversed_levels = {r["level"] for r in engine.reversals}
-        success = None
-        if adv["strategy"] == "private_double_spend":
-            success = target in reversed_levels
-        elif adv["strategy"] != "none":
-            success = bool(reversed_levels)
-
-        conservation_ok = total_value(engine.utxo) == total_value(
-            sim.genesis_utxo
-        ) - sum(engine.fees)
-
-        return cls(
-            protocol="prism",
-            seed=sim.seed,
-            config_digest=config_digest(cfg),
-            duration=sim.duration,
-            steady_state_start=steady_start,
-            topology={
-                "nodes": sim.topology.n,
-                "edges": len(sim.topology.edges),
-                "diameter": sim.topology.diameter,
-                "mean_hops": sim.topology.mean_hops,
-            },
-            blocks={
-                "transaction": sim.block_counts["transaction"],
-                "proposer": sim.block_counts["proposer"],
-                "voter": sim.block_counts["voter"],
-                "chain": 0,
-                "total": sum(sim.block_counts.values()),
-            },
-            throughput={
-                "generated_tps": sim.generated_txs / sim.duration,
-                "confirmed_raw_tps": max(0, engine.raw_count - raw_at_cutoff) / window,
-                "confirmed_sanitized_tps": sanitized_in_window / window,
-            },
-            latency=latency_stats(engine.latency_samples, steady_start),
-            forking={
-                "voter": observer_state.voter_fork_rate(),
-                "proposer": observer_state.proposer_fork_rate(),
-                "chain": None,
-            },
-            confirmation={
-                "beta": cfg["prism"]["beta"],
-                "epsilon": cfg["prism"]["epsilon"],
-                "max_confirmed_level": len(engine.leaders),
-                "confirm_depth": None,
-                "reversals": len(engine.reversals),
-            },
-            attack={
-                "strategy": adv["strategy"],
-                "fraction": adv["fraction"] if adv["strategy"] != "none" else 0.0,
-                "target_level": target,
-                "released": released,
-                "success": success,
-            },
-            spam={
-                "enabled": cfg["spam"]["enabled"],
-                "conflict_sets": sim.spam_sets,
-                "inclusions": sim.spam_inclusions,
-                "baseline_inclusions": None,
-                "normalized": None,
-            },
-            mempool_final=len(observer_state.mempool),
-            invalid_blocks=sim.invalid_blocks,
-            conservation_ok=conservation_ok,
-            wallclock={"finished_unix": time.time()},
-        )

@@ -8,11 +8,19 @@ pair reproduces the identical event trace on any host.
 Block relay is push-on-first-receipt gossip with full blocks.  A block
 sent over a link is serialized at the sender's egress (FIFO per link at
 the configured bandwidth) and then propagates for the link delay.
+
+``EventCore`` is the part both protocols share: the event heap, the
+link model, the genesis coins and payment workload, mining clocks, the
+run loop with its checkpoint cadence and the report fields common to
+both.  ``Simulation`` (Prism, here) and ``LongestChainSimulation``
+(``baseline.py``) add their node behaviour, checkpoints and report
+sections.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import dataclass
 
 import networkx as nx
@@ -28,11 +36,12 @@ from .blocks import (
     validate_block,
 )
 from .chain import ChainState, TxRejected
+from .config import config_digest
 from .confirmation import ConfirmationEngine
 from .crypto import get_scheme
-from .ledger import Transaction, TxInput, TxOutput, Utxo, signed_transaction
+from .ledger import Transaction, TxInput, TxOutput, Utxo, signed_transaction, total_value
 from .mining import finish_mining, honest_context, schedule_mining
-from .metrics import MetricsReport
+from .metrics import MetricsReport, latency_stats
 
 # event kinds
 MINE = 0
@@ -41,6 +50,7 @@ TX = 2
 CHECKPOINT = 3
 FETCH = 4
 SPAM = 5
+TX_RELAY = 6  # longest chain: a gossiped pending transaction
 
 FETCH_REQUEST_BYTES = 100
 
@@ -120,28 +130,239 @@ def block_wire_size(block: Block, sizes: dict) -> int:
     return sizes["block_overhead_bytes"] + sizes["bytes_per_ref"] * len(block.content.votes)
 
 
-class Node:
-    """Honest Prism node: chain state, miner, gossip relay."""
+# --- the shared event core ------------------------------------------------------------
 
-    def __init__(self, node_id: int, sim: "Simulation", hash_power: float, adversarial: bool):
+
+class Peer:
+    """What a node of either protocol shares: identity, hash power and a
+    memoryless mining clock."""
+
+    def __init__(self, node_id: int, sim: "EventCore", hash_power: float):
         self.id = node_id
         self.sim = sim
         self.hash_power = hash_power
+        self.rng = np.random.default_rng([sim.seed, 1, node_id])
+        self.mining_epoch = 0
+
+    def reschedule_mining(self, now: float) -> None:
+        """Mining target changed: invalidate the pending completion, redraw."""
+        self.mining_epoch += 1
+        when = schedule_mining(self.hash_power, self.sim.mining_rate, now, self.rng)
+        if when is not None:
+            self.sim.push(when, MINE, (self.id, self.mining_epoch))
+
+
+class EventCore:
+    """Event loop, link model, workload and shared report of one run.
+
+    A protocol subclass sets ``protocol``, fills ``nodes`` (``Peer``s
+    with ``on_block``, ``on_mining_complete`` and ``on_transaction``),
+    keeps ``latency_samples`` and provides ``_checkpoint``,
+    ``_handle_event`` for its own event kinds, ``_wire_size`` and
+    ``_protocol_report``.
+    """
+
+    protocol = ""
+
+    def __init__(self, cfg: dict, seed: int, mining_rate: float):
+        self.cfg = cfg
+        self.seed = seed
+        self.scheme = get_scheme(cfg["signature_scheme"])
+        self.mining_rate = mining_rate  # total blocks/s over all hash power
+        self.topology = build_topology(cfg, seed)
+        self.neighbors = self.topology.neighbors()
+        self.duration = cfg["duration"]
+
+        self.now = 0.0
+        self.heap: list = []
+        self.seq = 0
+        # directed per-link FIFO egress: (u, v) -> time the link frees up
+        self.link_free: dict[tuple[int, int], float] = {}
+
+        self.workload_rng = np.random.default_rng([seed, 2])
+        self.wallets = [
+            self.scheme.keypair(b"wallet" + i.to_bytes(4, "little"))
+            for i in range(cfg["workload"]["wallets"])
+        ]
+        self.genesis_utxo = self._build_genesis_utxo()
+        self._unused_coins = list(self.genesis_utxo.values())
+        self._next_coin = 0
+
+        self.nodes: list = []
+        self.mine_times: dict[bytes, float] = {}
+        self.generated_txs = 0
+        self.latency_samples: list = []
+        self.timeseries: list[dict] = []
+
+    # --- genesis and workload ----------------------------------------------------------
+
+    def _coins_for(self, tps: float) -> int:
+        """Genesis coins for a payment stream, with a 25% margin."""
+        return int(math.ceil(tps * self.duration * 1.25)) + 10
+
+    def _coin_budget(self) -> int:
+        return self._coins_for(self.cfg["workload"]["tps"])
+
+    def _build_genesis_utxo(self) -> dict:
+        wl = self.cfg["workload"]
+        count = wl["genesis_coins"] or self._coin_budget()
+        utxo = {}
+        for i in range(count):
+            owner = self.wallets[i % len(self.wallets)]
+            coin = Utxo(b"genesis-coin" + i.to_bytes(8, "little") + bytes(12), 0, wl["coin_value"], owner.public)
+            utxo[coin.id] = coin
+        return utxo
+
+    def _take_coin(self):
+        """The next unspent genesis coin and its owner's keys, or None."""
+        if self._next_coin >= len(self._unused_coins):
+            return None
+        coin = self._unused_coins[self._next_coin]
+        self._next_coin += 1
+        return coin, next(w for w in self.wallets if w.public == coin.owner)
+
+    def _schedule_workload(self) -> None:
+        tps = self.cfg["workload"]["tps"]
+        if tps > 0:
+            self.push(float(self.workload_rng.exponential(1.0 / tps)), TX, None)
+
+    def _next_payment(self) -> Transaction | None:
+        taken = self._take_coin()
+        if taken is None:
+            return None
+        coin, owner = taken
+        recipient = self.wallets[int(self.workload_rng.integers(len(self.wallets)))]
+        return self._spend(coin, owner, recipient.public)
+
+    def _spend(self, coin: Utxo, owner, recipient: bytes) -> Transaction:
+        """The whole of ``coin`` paid to ``recipient``, signed by ``owner``."""
+        return signed_transaction(
+            self.scheme, [TxInput(*coin.id)], [TxOutput(coin.value, recipient)], [owner]
+        )
+
+    def _handle_tx_event(self, now: float) -> None:
+        tx = self._next_payment()
+        tps = self.cfg["workload"]["tps"]
+        self.push(now + float(self.workload_rng.exponential(1.0 / tps)), TX, None)
+        if tx is None:
+            return
+        self.generated_txs += 1
+        # users cannot tell honest miners apart, so payments go to a
+        # uniformly chosen node
+        node = self.nodes[int(self.workload_rng.integers(len(self.nodes)))]
+        node.on_transaction(tx, now)
+
+    # --- event plumbing -----------------------------------------------------------------
+
+    def push(self, when: float, kind: int, payload) -> None:
+        self.seq += 1
+        heapq.heappush(self.heap, (when, self.seq, kind, payload))
+
+    def _link_arrival(self, sender: int, receiver: int, size: int, now: float) -> float:
+        """Egress serialization (FIFO per directed link) plus propagation."""
+        key = (sender, receiver)
+        start = max(now, self.link_free.get(key, 0.0))
+        done = start + size / self.topology.bandwidth
+        self.link_free[key] = done
+        return done + self.topology.delay_s
+
+    def gossip(self, sender: int, kind: int, item, size: int, now: float, exclude: int | None) -> None:
+        """Send ``item`` over every link of ``sender`` except to ``exclude``."""
+        for peer in self.neighbors[sender]:
+            if peer != exclude:
+                self.push(self._link_arrival(sender, peer, size, now), kind, (peer, item, sender))
+
+    def broadcast(self, sender: int, block, now: float, exclude: int | None) -> None:
+        self.gossip(sender, ARRIVE, block, self._wire_size(block), now, exclude)
+
+    # --- main loop ------------------------------------------------------------------------
+
+    def run(self) -> "RunResult":
+        started = time.perf_counter()
+        for node in self.nodes:
+            node.reschedule_mining(0.0)
+        self._schedule_workload()
+        self.push(self.cfg["checkpoint_interval"], CHECKPOINT, None)
+
+        heap = self.heap
+        nodes = self.nodes
+        while heap:
+            when, _, kind, payload = heapq.heappop(heap)
+            if when > self.duration:
+                break
+            self.now = when
+            if kind == ARRIVE:
+                receiver, block, sender = payload
+                nodes[receiver].on_block(block, sender, when)
+            elif kind == MINE:
+                node_id, epoch = payload
+                nodes[node_id].on_mining_complete(when, epoch)
+            elif kind == TX:
+                self._handle_tx_event(when)
+            elif kind == CHECKPOINT:
+                self._handle_checkpoint(when)
+            else:
+                self._handle_event(kind, payload, when)
+        self.now = self.duration
+        self._checkpoint(self.duration)
+        return RunResult(report=self._report(started), sim=self)
+
+    def _handle_checkpoint(self, now: float) -> None:
+        self._checkpoint(now)
+        self.push(now + self.cfg["checkpoint_interval"], CHECKPOINT, None)
+
+    # --- report -----------------------------------------------------------------------------
+
+    def _confirmed_in_window(self, steady_start: float) -> int:
+        return sum(1 for s in self.latency_samples if s.confirmed_at >= steady_start)
+
+    def _raw_confirmed(self, steady_start: float) -> int:
+        """Transactions entering the unsanitized ledger in the steady window."""
+        return self._confirmed_in_window(steady_start)
+
+    def _conserves(self, utxo: dict, fees: list[int]) -> bool:
+        return total_value(utxo) == total_value(self.genesis_utxo) - sum(fees)
+
+    def _report(self, started: float) -> MetricsReport:
+        steady_start = self.cfg["steady_state_fraction"] * self.duration
+        window = self.duration - steady_start
+        return MetricsReport(
+            protocol=self.protocol,
+            seed=self.seed,
+            config_digest=config_digest(self.cfg),
+            duration=self.duration,
+            steady_state_start=steady_start,
+            topology={
+                "nodes": self.topology.n,
+                "edges": len(self.topology.edges),
+                "diameter": self.topology.diameter,
+                "mean_hops": self.topology.mean_hops,
+            },
+            throughput={
+                "generated_tps": self.generated_txs / self.duration,
+                "confirmed_raw_tps": self._raw_confirmed(steady_start) / window,
+                "confirmed_sanitized_tps": self._confirmed_in_window(steady_start) / window,
+            },
+            latency=latency_stats(self.latency_samples, steady_start),
+            wallclock={"finished_unix": time.time(), "runtime_s": time.perf_counter() - started},
+            **self._protocol_report(),
+        )
+
+
+# --- Prism -------------------------------------------------------------------------------
+
+
+class Node(Peer):
+    """Honest Prism node: chain state, miner, gossip relay."""
+
+    def __init__(self, node_id: int, sim: "Simulation", hash_power: float, adversarial: bool):
+        super().__init__(node_id, sim, hash_power)
         self.adversarial = adversarial
         self.state = ChainState(sim.params.m, vote_rule=sim.cfg["prism"]["vote_rule"])
-        self.rng = np.random.default_rng([sim.seed, 1, node_id])
         self.jitter_rng = np.random.default_rng([sim.seed, 3, node_id])
-        self.mining_epoch = 0
         self.strategy = None  # set by the adversary module when applicable
 
     # --- mining ----------------------------------------------------------------
-
-    def reschedule_mining(self, now: float) -> None:
-        """Superblock changed: invalidate the pending completion, redraw."""
-        self.mining_epoch += 1
-        when = schedule_mining(self.hash_power, self.sim.params.total_rate, now, self.rng)
-        if when is not None:
-            self.sim.push(when, MINE, (self.id, self.mining_epoch))
 
     def build_context(self, now: float):
         if self.strategy is not None:
@@ -196,6 +417,7 @@ class Node:
         self.reschedule_mining(now)
 
     def on_transaction(self, tx: Transaction, now: float) -> None:
+        # transactions are not gossiped: only the receiving miner sees one
         release = now + self.draw_jitter()
         result = self.state.receive_transaction(tx, now, self.sim.scheme, release_time=release)
         if not isinstance(result, TxRejected):
@@ -211,13 +433,12 @@ class Node:
         return 0.0
 
 
-class Simulation:
+class Simulation(EventCore):
     """One deterministic Prism run over a topology."""
 
+    protocol = "prism"
+
     def __init__(self, cfg: dict, seed: int):
-        self.cfg = cfg
-        self.seed = seed
-        self.scheme = get_scheme(cfg["signature_scheme"])
         prism = cfg["prism"]
         self.params = SortitionParams(
             m=prism["m"],
@@ -225,16 +446,8 @@ class Simulation:
             rate_prop=prism["rate_prop"],
             rate_voter=prism["rate_voter_per_chain"],
         )
+        super().__init__(cfg, seed, self.params.total_rate)
         self.tx_capacity = prism["tx_block_capacity"]
-        self.topology = build_topology(cfg, seed)
-        self.neighbors = self.topology.neighbors()
-        self.duration = cfg["duration"]
-
-        self.now = 0.0
-        self.heap: list = []
-        self.seq = 0
-        # directed per-link FIFO egress: (u, v) -> time the link frees up
-        self.link_free: dict[tuple[int, int], float] = {}
 
         honest_flags = self._assign_adversaries()
         powers = self._assign_powers(honest_flags)
@@ -242,15 +455,6 @@ class Simulation:
             Node(i, self, powers[i], not honest_flags[i]) for i in range(self.topology.n)
         ]
         self.observer = next(i for i in range(self.topology.n) if honest_flags[i])
-
-        self.workload_rng = np.random.default_rng([seed, 2])
-        self.wallets = [
-            self.scheme.keypair(b"wallet" + i.to_bytes(4, "little"))
-            for i in range(cfg["workload"]["wallets"])
-        ]
-        self.genesis_utxo = self._build_genesis_utxo()
-        self._unused_coins = list(self.genesis_utxo.values())
-        self._next_coin = 0
 
         self.engine = ConfirmationEngine(
             self.nodes[self.observer].state,
@@ -260,16 +464,14 @@ class Simulation:
             initial_utxo=self.genesis_utxo,
             mine_time_of=lambda digest: self.mine_times.get(digest, 0.0),
         )
+        self.latency_samples = self.engine.latency_samples  # the engine appends
 
-        self.mine_times: dict[bytes, float] = {}
         self.block_counts = {TRANSACTION: 0, PROPOSER: 0, VOTER: 0}
         self.blocks_by_digest: dict[bytes, Block] = {}
-        self.generated_txs = 0
         self.invalid_blocks = 0
         self.spam_tx_digests: set[bytes] = set()
         self.spam_sets = 0
         self.spam_inclusions = 0
-        self.timeseries: list[dict] = []
 
     # --- setup -----------------------------------------------------------------
 
@@ -295,49 +497,31 @@ class Simulation:
             return [beta if not honest_flags[i] else (1.0 - beta) / honest_count for i in range(n)]
         return [1.0 / n] * n
 
-    def _build_genesis_utxo(self) -> dict:
-        wl = self.cfg["workload"]
+    def _coin_budget(self) -> int:
+        budget = super()._coin_budget()
         spam = self.cfg["spam"]
-        expected = int(math.ceil(wl["tps"] * self.duration * 1.25)) + 10
         if spam["enabled"]:
-            expected += int(math.ceil(spam["tps"] * self.duration * 1.25)) + 10
-        count = wl["genesis_coins"] or expected
-        utxo = {}
-        for i in range(count):
-            owner = self.wallets[i % len(self.wallets)]
-            coin = Utxo(b"genesis-coin" + i.to_bytes(8, "little") + bytes(12), 0, wl["coin_value"], owner.public)
-            utxo[coin.id] = coin
-        return utxo
+            budget += self._coins_for(spam["tps"])
+        return budget
 
-    # --- event plumbing -----------------------------------------------------------
+    # --- events -------------------------------------------------------------------
 
-    def push(self, time: float, kind: int, payload) -> None:
-        self.seq += 1
-        heapq.heappush(self.heap, (time, self.seq, kind, payload))
+    def _wire_size(self, block: Block) -> int:
+        return block_wire_size(block, self.cfg["sizes"])
 
     def push_fetch(self, requester: int, peer: int, digest_hex: str, now: float) -> None:
         arrival = self._link_arrival(requester, peer, FETCH_REQUEST_BYTES, now)
         self.push(arrival, FETCH, (peer, requester, bytes.fromhex(digest_hex)))
 
-    def _link_arrival(self, sender: int, receiver: int, size: int, now: float) -> float:
-        """Egress serialization (FIFO per directed link) plus propagation."""
-        key = (sender, receiver)
-        start = max(now, self.link_free.get(key, 0.0))
-        done = start + size / self.topology.bandwidth
-        self.link_free[key] = done
-        return done + self.topology.delay_s
-
-    def send_block(self, sender: int, receiver: int, block: Block, now: float) -> None:
-        size = block_wire_size(block, self.cfg["sizes"])
-        arrival = self._link_arrival(sender, receiver, size, now)
-        self.push(arrival, ARRIVE, (receiver, block, sender))
-
-    def broadcast(self, sender: int, block: Block, now: float, exclude: int | None) -> None:
-        for peer in self.neighbors[sender]:
-            if peer != exclude:
-                self.send_block(sender, peer, block, now)
-
-    # --- bookkeeping ----------------------------------------------------------------
+    def _handle_event(self, kind: int, payload, now: float) -> None:
+        if kind == SPAM:
+            self._handle_spam_event(now)
+        elif kind == FETCH:
+            peer, requester, digest = payload
+            found = self.nodes[peer].state.get_block(digest)
+            if found is not None:
+                arrival = self._link_arrival(peer, requester, self._wire_size(found), now)
+                self.push(arrival, ARRIVE, (requester, found, peer))
 
     def record_mined(self, block: Block, now: float, miner: int) -> None:
         self.mine_times[block.digest] = now
@@ -354,49 +538,20 @@ class Simulation:
         return [n.id for n in self.nodes if not n.adversarial]
 
     def _schedule_workload(self) -> None:
-        tps = self.cfg["workload"]["tps"]
-        if tps > 0:
-            self.push(float(self.workload_rng.exponential(1.0 / tps)), TX, None)
+        super()._schedule_workload()
         spam = self.cfg["spam"]
         if spam["enabled"]:
             self.push(float(self.workload_rng.exponential(1.0 / spam["tps"])), SPAM, None)
-
-    def _next_payment(self) -> Transaction | None:
-        if self._next_coin >= len(self._unused_coins):
-            return None
-        coin = self._unused_coins[self._next_coin]
-        self._next_coin += 1
-        owner = next(w for w in self.wallets if w.public == coin.owner)
-        recipient = self.wallets[int(self.workload_rng.integers(len(self.wallets)))]
-        return signed_transaction(
-            self.scheme,
-            [TxInput(*coin.id)],
-            [TxOutput(coin.value, recipient.public)],
-            [owner],
-        )
-
-    def _handle_tx_event(self, now: float) -> None:
-        tx = self._next_payment()
-        tps = self.cfg["workload"]["tps"]
-        self.push(now + float(self.workload_rng.exponential(1.0 / tps)), TX, None)
-        if tx is None:
-            return
-        self.generated_txs += 1
-        # users cannot tell honest miners apart, so payments go everywhere;
-        # transactions are not gossiped, only the chosen miner sees this one
-        node = self.nodes[int(self.workload_rng.integers(len(self.nodes)))]
-        node.on_transaction(tx, now)
 
     def _handle_spam_event(self, now: float) -> None:
         """One conflict set: distinct spends of one coin, delivered to all
         victims simultaneously."""
         spam = self.cfg["spam"]
         self.push(now + float(self.workload_rng.exponential(1.0 / spam["tps"])), SPAM, None)
-        if self._next_coin >= len(self._unused_coins):
+        taken = self._take_coin()
+        if taken is None:
             return
-        coin = self._unused_coins[self._next_coin]
-        self._next_coin += 1
-        owner = next(w for w in self.wallets if w.public == coin.owner)
+        coin, owner = taken
         victims = self._honest_ids()
         if spam["victims"]:
             victims = victims[: spam["victims"]]
@@ -404,59 +559,14 @@ class Simulation:
         for i, victim in enumerate(victims):
             # one distinct recipient per victim keeps the variants distinct
             recipient = self.scheme.keypair(b"spam-sink" + i.to_bytes(4, "little"))
-            variant = signed_transaction(
-                self.scheme,
-                [TxInput(*coin.id)],
-                [TxOutput(coin.value, recipient.public)],
-                [owner],
-            )
+            variant = self._spend(coin, owner, recipient.public)
             self.spam_tx_digests.add(variant.digest)
             self.nodes[victim].on_transaction(variant, now)
 
-    # --- main loop ----------------------------------------------------------------------
+    # --- checkpoints and report ------------------------------------------------------------
 
-    def run(self) -> "RunResult":
-        for node in self.nodes:
-            if node.strategy is not None:
-                node.strategy.attach(self, node)
-            node.reschedule_mining(0.0)
-        self._schedule_workload()
-        self.push(self.cfg["checkpoint_interval"], CHECKPOINT, None)
-
-        heap = self.heap
-        while heap:
-            time, _, kind, payload = heapq.heappop(heap)
-            if time > self.duration:
-                break
-            self.now = time
-            if kind == ARRIVE:
-                receiver, block, sender = payload
-                self.nodes[receiver].on_block(block, sender, time)
-            elif kind == MINE:
-                node_id, epoch = payload
-                self.nodes[node_id].on_mining_complete(time, epoch)
-            elif kind == TX:
-                self._handle_tx_event(time)
-            elif kind == CHECKPOINT:
-                self._handle_checkpoint(time)
-            elif kind == SPAM:
-                self._handle_spam_event(time)
-            elif kind == FETCH:
-                peer, requester, digest = payload
-                found = self.nodes[peer].state.get_block(digest)
-                if found is not None:
-                    self.send_block(peer, requester, found, time)
-        self.now = self.duration
-        self.engine.evaluate(self.duration)
-        self._record_timeseries(self.duration)
-        return self._finish()
-
-    def _handle_checkpoint(self, now: float) -> None:
+    def _checkpoint(self, now: float) -> None:
         self.engine.evaluate(now)
-        self._record_timeseries(now)
-        self.push(now + self.cfg["checkpoint_interval"], CHECKPOINT, None)
-
-    def _record_timeseries(self, now: float) -> None:
         state = self.nodes[self.observer].state
         self.timeseries.append(
             {
@@ -471,15 +581,74 @@ class Simulation:
             }
         )
 
-    def _finish(self) -> "RunResult":
-        report = MetricsReport.from_simulation(self)
-        return RunResult(report=report, sim=self)
+    def _raw_confirmed(self, steady_start: float) -> int:
+        raw_at_cutoff = 0
+        for row in self.timeseries:
+            if row["time"] >= steady_start:
+                break
+            raw_at_cutoff = row["confirmed_raw"]
+        return max(0, self.engine.raw_count - raw_at_cutoff)
+
+    def _protocol_report(self) -> dict:
+        cfg = self.cfg
+        engine = self.engine
+        observer_state = self.nodes[self.observer].state
+        adv = cfg["adversary"]
+        target = adv["target_level"] if adv["strategy"] == "private_double_spend" else None
+        released = None
+        if adv["strategy"] == "private_double_spend":
+            strategy = self.nodes[-1].strategy
+            released = bool(strategy is not None and strategy.released)
+        reversed_levels = {r["level"] for r in engine.reversals}
+        success = None
+        if adv["strategy"] == "private_double_spend":
+            success = target in reversed_levels
+        elif adv["strategy"] != "none":
+            success = bool(reversed_levels)
+        return dict(
+            blocks={
+                "transaction": self.block_counts[TRANSACTION],
+                "proposer": self.block_counts[PROPOSER],
+                "voter": self.block_counts[VOTER],
+                "chain": 0,
+                "total": sum(self.block_counts.values()),
+            },
+            forking={
+                "voter": observer_state.voter_fork_rate(),
+                "proposer": observer_state.proposer_fork_rate(),
+                "chain": None,
+            },
+            confirmation={
+                "beta": cfg["prism"]["beta"],
+                "epsilon": cfg["prism"]["epsilon"],
+                "max_confirmed_level": len(engine.leaders),
+                "confirm_depth": None,
+                "reversals": len(engine.reversals),
+            },
+            attack={
+                "strategy": adv["strategy"],
+                "fraction": adv["fraction"] if adv["strategy"] != "none" else 0.0,
+                "target_level": target,
+                "released": released,
+                "success": success,
+            },
+            spam={
+                "enabled": cfg["spam"]["enabled"],
+                "conflict_sets": self.spam_sets,
+                "inclusions": self.spam_inclusions,
+                "baseline_inclusions": None,
+                "normalized": None,
+            },
+            mempool_final=len(observer_state.mempool),
+            invalid_blocks=self.invalid_blocks,
+            conservation_ok=self._conserves(engine.utxo, engine.fees),
+        )
 
 
 @dataclass
 class RunResult:
     report: MetricsReport
-    sim: Simulation
+    sim: EventCore
 
 
 def run(cfg: dict, seed: int) -> RunResult:

@@ -203,3 +203,19 @@ def test_lc_orphan_buffer_drains():
     assert state.tip == LC_GENESIS
     state.receive_block(a)
     assert state.tip == b.digest
+
+
+def test_lc_deep_chain_delivered_tip_first():
+    from prismsim.baseline import LC_GENESIS
+
+    chain = []
+    parent = LC_GENESIS
+    for nonce in range(5000):
+        block = LCBlock(parent=parent, txs=(), nonce=nonce, miner_id=0)
+        chain.append(block)
+        parent = block.digest
+    state = LCState({}, SCHEME)
+    for block in reversed(chain):
+        state.receive_block(block)
+    assert not state.orphans and not state.orphan_digests
+    assert state.tip == chain[-1].digest and state.tip_chainlen == 5000

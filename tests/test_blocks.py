@@ -218,3 +218,10 @@ def test_ed25519_scheme_round_trip():
     params = make_params(m=2)
     block = mine_block(transaction_type(), params, TransactionContent((tx,)))
     validate_block(block, params, scheme)
+
+
+def test_voter_index_beyond_m_is_a_validation_error():
+    # a voter block committed for chain 5 of 8 does not exist at m = 1
+    block = mine_block(voter_type(5), make_params(m=8), VoterContent(()))
+    with pytest.raises(BadSortitionProof):
+        validate_block(block, make_params(m=1), SCHEME)

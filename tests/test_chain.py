@@ -321,3 +321,16 @@ def test_conflicting_mempool_tx_dropped_on_tx_block():
 
     bench.state.receive_block(block)
     assert held.digest not in bench.state.mempool  # dropped before release
+
+
+def test_deep_voter_chain_delivered_tip_first():
+    """A 5000-block voter chain arriving tip first drains the orphan
+    buffer in one pass, without recursing once per block."""
+    source = Bench(m=1, seed=5)
+    chain = [source.mine("voter") for _ in range(5000)]
+    state = ChainState(1)
+    for block in reversed(chain):
+        state.receive_block(block)
+    assert not state.orphans and not state.orphan_digests
+    tree = state.voter_trees[0]
+    assert tree.tip == chain[-1].digest and tree.tip_chainlen == 5000

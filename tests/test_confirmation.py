@@ -335,6 +335,26 @@ def test_build_ledger_missing_block_errors():
         build_ledger([leader.digest], state)
 
 
+
+def test_build_ledger_on_deep_proposer_chain():
+    """5000 proposer levels expand without recursing once per level; the
+    level-1 transaction block still comes first."""
+    params = make_params(m=1)
+    state = ChainState(1)
+    coins = list(genesis_set(2).values())
+    first = forge_tx_block(params, [spend(coins[0], KEYS[1])])
+    last = forge_tx_block(params, [spend(coins[1], KEYS[2])])
+    state.receive_block(first)
+    state.receive_block(last)
+    tip = state.proposer_genesis
+    for level in range(1, 5001):
+        refs = {1: [first.digest], 5000: [last.digest]}.get(level, [])
+        block = forge_proposer(params, tip, level, tx_refs=refs)
+        state.receive_block(block)
+        tip = block.digest
+    ledger = build_ledger([tip], state)
+    assert [ref for _, ref in ledger] == [first.digest, last.digest]
+
 def reference_expansion(leaders, state):
     """Brute-force DAG-walk oracle written independently from the
     iterative engine: parent first, then proposer references in order,

@@ -1,8 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from helpers import Bench
+
+import prismsim
 from prismsim.config import ConfigError, resolve
 from prismsim.netsim import (
+    ARRIVE,
     Simulation,
     Topology,
     build_topology,
@@ -232,3 +241,77 @@ def test_report_schema_fully_populated():
     assert set(report["throughput"]) == {
         "generated_tps", "confirmed_raw_tps", "confirmed_sanitized_tps",
     }
+
+
+def test_wallets_below_one_rejected():
+    for wallets in (0, -2):
+        with pytest.raises(ConfigError) as err:
+            resolve({"workload": {"wallets": wallets}})
+        assert err.value.field == "workload.wallets"
+
+
+def test_out_of_range_voter_block_counted_invalid_and_run_continues():
+    cfg = small_cfg(duration=10.0)
+    sim = Simulation(cfg, seed=3)
+    # valid at m = 20, but voter chain 15 does not exist at the run's m = 10
+    stray = Bench(m=20, seed=1).mine("voter", chain_index=15, deliver=False)
+    sim.push(2.0, ARRIVE, (0, stray, 1))
+    report = sim.run().report
+    assert report.invalid_blocks == 1
+    assert sim.now == cfg["duration"]
+    assert report.blocks["total"] > 0
+
+
+LC_SMALL = {
+    "protocol": "longest_chain",
+    "duration": 40.0,
+    "topology": {"nodes": 6, "degree": 4, "delay_s": 0.1},
+    "longest_chain": {"rate": 0.5, "block_capacity": 50, "confirm_depth": 2},
+    "workload": {"tps": 10.0},
+}
+PRISM_SMALL = {
+    "duration": 10.0,
+    "topology": {"nodes": 6, "degree": 4, "delay_s": 0.12},
+    "prism": {"m": 10, "rate_voter_per_chain": 0.5, "rate_tx": 1.0, "rate_prop": 0.25},
+    "workload": {"tps": 10.0},
+}
+
+
+def test_both_protocols_report_runtime():
+    for overlay in (PRISM_SMALL, LC_SMALL):
+        wallclock = run(resolve(overlay), seed=0).report.wallclock
+        assert wallclock["runtime_s"] > 0
+        assert wallclock["finished_unix"] > 0
+
+
+# prints one digest per config: deterministic report, confirmation trace,
+# latency samples and, for the longest chain, the confirmed blocks
+_DIGEST_RUNS = """
+import hashlib, json, sys
+from prismsim.config import resolve
+from prismsim.netsim import run
+for overlay in json.loads(sys.argv[1]):
+    result = run(resolve(overlay), 7)
+    sim = result.sim
+    body = {
+        "report": result.report.deterministic_dict(),
+        "trace": sim.engine.trace if hasattr(sim, "engine") else [],
+        "latency": [[s.tx_digest.hex(), s.mined_at, s.confirmed_at] for s in sim.latency_samples],
+        "confirmed": [d.hex() for d in getattr(sim, "confirmed_blocks", [])],
+    }
+    print(hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest())
+"""
+
+
+def test_runs_identical_across_processes_and_hash_seeds():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prismsim.__file__)))
+    outputs = []
+    for hash_seed in ("0", "20190925"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGEST_RUNS, json.dumps([PRISM_SMALL, LC_SMALL])],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(proc.stdout.split())
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
