@@ -162,6 +162,11 @@ class ChainState:
         self.vote_rule = vote_rule
         self.proposer_genesis = genesis_proposer_digest()
         self.voter_trees = [VoterTree(i) for i in range(m)]
+        self.genesis_digests = frozenset(
+            [self.proposer_genesis] + [t.genesis for t in self.voter_trees]
+        )
+        # every stored block of every kind, by digest
+        self.blocks: dict[bytes, Block] = {}
 
         self.prp_entries: dict[bytes, ProposerEntry] = {}
         self.prp_by_level: dict[int, list[bytes]] = {}
@@ -184,6 +189,8 @@ class ChainState:
 
         self.orphans: dict[bytes, list[Block]] = {}
         self.orphan_digests: set[bytes] = set()
+        # proposer blocks refused for their level or their ancestry
+        self.rejected: set[bytes] = set()
 
         # tx-block digests claimed by proposer blocks (including claims
         # that arrived before the tx block itself)
@@ -233,22 +240,18 @@ class ChainState:
     # --- blocks ---------------------------------------------------------------
 
     def has_block(self, digest: bytes) -> bool:
-        if digest == self.proposer_genesis:
-            return True
-        if digest in self.prp_entries or digest in self.tx_blocks:
-            return True
-        return any(t.has(digest) for t in self.voter_trees)
+        """Stored, or one of the m + 1 genesis digests."""
+        return digest in self.blocks or digest in self.genesis_digests
 
     def get_block(self, digest: bytes) -> Block | None:
-        if digest in self.prp_entries:
-            return self.prp_entries[digest].block
-        if digest in self.tx_blocks:
-            return self.tx_blocks[digest]
-        for tree in self.voter_trees:
-            entry = tree.entries.get(digest)
-            if entry is not None:
-                return entry.block
-        return None
+        """A stored block; None for genesis, orphans and unknown digests."""
+        return self.blocks.get(digest)
+
+    def seen(self, digest: bytes) -> bool:
+        """Stored, genesis, buffered as an orphan, or rejected."""
+        return (
+            self.has_block(digest) or digest in self.orphan_digests or digest in self.rejected
+        )
 
     def receive_block(self, block: Block) -> list[str]:
         """Apply a validated block; returns the state changes it caused.
@@ -256,9 +259,13 @@ class ChainState:
         Change tags: ``tx_block``, ``voter_stored:i``, ``voter_tip:i``,
         ``proposer_stored``, ``new_proposer_level:L``, ``prp_parent:L``,
         ``duplicate``, ``orphaned``, ``request_parent:<hex>``,
-        ``rejected:bad_level``.
+        ``rejected:bad_level``, ``rejected:bad_parent``.  The tags of a
+        rejected proposer block start with its own ``rejected:`` tag,
+        followed by one ``rejected:bad_parent`` per block buffered below
+        it; none of them is stored.  Rejected digests are remembered, so a
+        repeat is a duplicate.
         """
-        if self.has_block(block.digest) or block.digest in self.orphan_digests:
+        if self.seen(block.digest):
             return ["duplicate"]
         kind = block.block_type.kind
         if kind == TRANSACTION:
@@ -270,7 +277,7 @@ class ChainState:
                 return self._buffer_orphan(block, parent)
             changes = self._insert_voter(block)
         else:
-            if parent != self.proposer_genesis and parent not in self.prp_entries:
+            if not self.has_block(parent) and parent not in self.rejected:
                 return self._buffer_orphan(block, parent)
             changes = self._insert_proposer(block)
         changes.extend(self._resolve_orphans(block.digest))
@@ -291,8 +298,25 @@ class ChainState:
                 changes.extend(self._insert_proposer(block))
         return changes
 
+    def _reject(self, block: Block, reason: str) -> list[str]:
+        """Remember ``block`` as rejected, with every block buffered below it.
+
+        The buffered descendants are taken out of the orphan buffer here,
+        so an enclosing ``drain_orphans`` finds none to hand on.
+        """
+        changes = []
+        pending = [(block, reason)]
+        while pending:
+            rejected, why = pending.pop()
+            self.rejected.add(rejected.digest)
+            self.orphan_digests.discard(rejected.digest)
+            changes.append(f"rejected:{why}")
+            pending.extend((child, "bad_parent") for child in self.orphans.pop(rejected.digest, ()))
+        return changes
+
     def _receive_tx_block(self, block: Block) -> list[str]:
         self.tx_blocks[block.digest] = block
+        self.blocks[block.digest] = block
         # skip the pool if a proposer block already claimed it before arrival
         if block.digest not in self.referenced_tx_digests:
             self.unref_tx_pool[block.digest] = None
@@ -313,6 +337,7 @@ class ChainState:
         index = block.block_type.chain_index
         tree = self.voter_trees[index]
         tip_changed, removed, added = tree.insert(block)
+        self.blocks[block.digest] = block
         self.voter_blocks_stored += 1
         changes = [f"voter_stored:{index}"]
         if tip_changed:
@@ -342,11 +367,15 @@ class ChainState:
 
     def _insert_proposer(self, block: Block) -> list[str]:
         parent = block.parent_ref
-        parent_level = 0 if parent == self.proposer_genesis else self.prp_entries[parent].level
+        parent_entry = self.prp_entries.get(parent)
+        if parent_entry is None and parent != self.proposer_genesis:
+            return self._reject(block, "bad_parent")  # rejected, or not a proposer block
+        parent_level = parent_entry.level if parent_entry else 0
         if block.level != parent_level + 1:
-            return ["rejected:bad_level"]
+            return self._reject(block, "bad_level")
         entry = ProposerEntry(block, parent, block.level)
         self.prp_entries[block.digest] = entry
+        self.blocks[block.digest] = block
         changes = ["proposer_stored"]
         level_list = self.prp_by_level.setdefault(block.level, [])
         new_level = not level_list

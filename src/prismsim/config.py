@@ -111,7 +111,20 @@ def resolve(raw: dict | None = None, profile: str | None = None) -> dict:
     return cfg
 
 
+def _check_keys(cfg: dict, defaults: dict, prefix: str = "") -> None:
+    """Reject keys the defaults do not have, and sections that are not objects."""
+    for key, value in cfg.items():
+        name = prefix + key
+        if key not in defaults:
+            raise ConfigError(name, "unknown key")
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(name, "must be an object")
+            _check_keys(value, defaults[key], name + ".")
+
+
 def validate(cfg: dict) -> None:
+    _check_keys(cfg, DEFAULTS)
     if cfg["protocol"] not in ("prism", "longest_chain"):
         raise ConfigError("protocol", f"must be 'prism' or 'longest_chain', got {cfg['protocol']!r}")
     if cfg["duration"] <= 0:
@@ -149,12 +162,16 @@ def validate(cfg: dict) -> None:
         raise ConfigError("prism.epsilon", "must lie in (0, 1)")
     if prism["vote_rule"] not in ("first_seen", "most_voted"):
         raise ConfigError("prism.vote_rule", "must be 'first_seen' or 'most_voted'")
+    if prism["tx_block_capacity"] < 1:
+        raise ConfigError("prism.tx_block_capacity", "must be >= 1")
 
     lc = cfg["longest_chain"]
     if lc["rate"] <= 0:
         raise ConfigError("longest_chain.rate", "must be > 0")
     if lc["confirm_depth"] < 1:
         raise ConfigError("longest_chain.confirm_depth", "must be >= 1")
+    if lc["block_capacity"] < 1:
+        raise ConfigError("longest_chain.block_capacity", "must be >= 1")
 
     adv = cfg["adversary"]
     strategies = ("none", "private_double_spend", "censorship", "balancing")
@@ -168,6 +185,8 @@ def validate(cfg: dict) -> None:
             raise ConfigError(
                 "beta", f"adversary fraction {beta} >= 0.5 requires allow_high_beta"
             )
+    if adv["target_level"] < 1:
+        raise ConfigError("adversary.target_level", "must be >= 1")
     if adv["strategy"] == "balancing" and cfg["prism"]["vote_rule"] != "most_voted":
         raise ConfigError(
             "prism.vote_rule", "the balancing scenario requires the most_voted rule"
@@ -180,10 +199,19 @@ def validate(cfg: dict) -> None:
         if spam["jitter"]["kind"] not in ("none", "uniform", "exponential"):
             raise ConfigError("spam.jitter.kind", "must be none/uniform/exponential")
 
-    if cfg["workload"]["tps"] < 0:
+    workload = cfg["workload"]
+    if workload["tps"] < 0:
         raise ConfigError("workload.tps", "must be >= 0")
-    if cfg["workload"]["wallets"] < 1:
+    if workload["wallets"] < 1:
         raise ConfigError("workload.wallets", "must be >= 1")
+    if workload["coin_value"] < 1:
+        raise ConfigError("workload.coin_value", "must be >= 1")
+    if workload["genesis_coins"] is not None and workload["genesis_coins"] < 1:
+        raise ConfigError("workload.genesis_coins", "must be >= 1, or null for the default")
+
+    for key, value in cfg["sizes"].items():
+        if value < 0:
+            raise ConfigError(f"sizes.{key}", "must be >= 0")
 
 
 def config_digest(cfg: dict) -> str:

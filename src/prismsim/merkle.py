@@ -18,35 +18,69 @@ class MerkleProof:
     siblings: tuple[bytes, ...]
 
 
-def _leaf_hashes(leaves: Sequence[bytes]) -> list[bytes]:
-    if not leaves:
-        raise ValueError("merkle tree requires at least one leaf")
-    return [sha256(leaf) for leaf in leaves]
+class MerkleTree:
+    """Every level of one Merkle tree, from the leaf hashes to the root.
+
+    ``update`` commits to a new leaf list.  With the leaf count unchanged
+    it rehashes only the leaves whose bytes differ from the previous list,
+    and the nodes on their paths; a new count rebuilds every level.  The
+    root and all proofs are read from the stored levels.  A level of odd
+    width keeps no copy of its last node: its parent pairs that node with
+    itself.
+    """
+
+    def __init__(self) -> None:
+        self.leaves: list[bytes] = []
+        self.levels: list[list[bytes]] = []  # leaf hashes first, root last
+
+    @property
+    def root(self) -> bytes:
+        return self.levels[-1][0]
+
+    def update(self, leaves: Sequence[bytes]) -> bytes:
+        """Commit to ``leaves`` and return the new root."""
+        if not leaves:
+            raise ValueError("merkle tree requires at least one leaf")
+        if len(leaves) == len(self.leaves):
+            dirty = [i for i, (old, new) in enumerate(zip(self.leaves, leaves)) if old != new]
+        else:
+            width = len(leaves)
+            self.levels = [[b""] * width]
+            while width > 1:
+                width = (width + 1) // 2
+                self.levels.append([b""] * width)
+            dirty = range(len(leaves))
+        self.leaves = list(leaves)
+        hashes = self.levels[0]
+        for i in dirty:
+            hashes[i] = sha256(leaves[i])
+        for below, level in zip(self.levels, self.levels[1:]):
+            last = len(below) - 1
+            dirty = {i // 2 for i in dirty}
+            for j in dirty:
+                level[j] = sha256(below[2 * j] + below[min(2 * j + 1, last)])
+        return self.root
+
+    def prove(self, index: int) -> MerkleProof:
+        """Inclusion proof for the leaf at ``index`` of the committed list."""
+        if not 0 <= index < len(self.leaves):
+            raise IndexError(f"leaf index {index} out of range for {len(self.leaves)} leaves")
+        siblings = []
+        pos = index
+        for level in self.levels[:-1]:
+            siblings.append(level[min(pos ^ 1, len(level) - 1)])
+            pos //= 2
+        return MerkleProof(leaf_index=index, siblings=tuple(siblings))
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
-    level = _leaf_hashes(leaves)
-    while len(level) > 1:
-        if len(level) % 2:
-            level.append(level[-1])
-        level = [sha256(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
+    return MerkleTree().update(leaves)
 
 
 def merkle_prove(leaves: Sequence[bytes], index: int) -> MerkleProof:
-    if not 0 <= index < len(leaves):
-        raise IndexError(f"leaf index {index} out of range for {len(leaves)} leaves")
-    level = _leaf_hashes(leaves)
-    siblings: list[bytes] = []
-    pos = index
-    while len(level) > 1:
-        if len(level) % 2:
-            level.append(level[-1])
-        sibling = pos + 1 if pos % 2 == 0 else pos - 1
-        siblings.append(level[sibling])
-        level = [sha256(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
-        pos //= 2
-    return MerkleProof(leaf_index=index, siblings=tuple(siblings))
+    tree = MerkleTree()
+    tree.update(leaves)
+    return tree.prove(index)
 
 
 def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof) -> bool:

@@ -26,7 +26,7 @@ from .blocks import (
 )
 from .chain import ChainState
 from .ledger import Transaction
-from .merkle import merkle_prove, merkle_root
+from .merkle import MerkleTree
 
 
 @dataclass
@@ -91,14 +91,17 @@ def schedule_mining(
 
 
 def assemble_superblock(
-    ctx: MinerContext, params: SortitionParams
+    ctx: MinerContext, params: SortitionParams, trees: tuple[MerkleTree, MerkleTree] | None = None
 ) -> tuple[list[bytes], list[bytes], bytes, bytes]:
-    """Parent and content leaf lists in the committed index layout.
+    """Parent and content leaf lists in the committed index layout, with
+    their roots.
 
     Index layout: voter chains at 0..m-1, transaction at m, proposer at
-    m+1.  The transaction slot's parent is the proposer parent.
+    m+1.  The transaction slot's parent is the proposer parent.  The
+    roots come from ``trees`` (parents, contents), which then hold the
+    new lists; without them a fresh pair is built.
     """
-    m = params.m
+    parent_tree, content_tree = trees or (MerkleTree(), MerkleTree())
     parents = list(ctx.vt_parent)
     parents.append(ctx.prp_parent)  # transaction slot
     parents.append(ctx.prp_parent)  # proposer slot
@@ -107,14 +110,24 @@ def assemble_superblock(
     contents.append(
         serialize_content(ProposerContent(ctx.unref_prp_refs, ctx.unref_tx_refs))
     )
-    return parents, contents, merkle_root(parents), merkle_root(contents)
+    return parents, contents, parent_tree.update(parents), content_tree.update(contents)
 
 
 def finish_mining(
-    ctx: MinerContext, params: SortitionParams, u: float, nonce: int
+    ctx: MinerContext,
+    params: SortitionParams,
+    u: float,
+    nonce: int,
+    trees: tuple[MerkleTree, MerkleTree] | None = None,
 ) -> Block:
-    """Sortition the finished superblock and prune to the winning sub-block."""
-    parents, contents, parent_root, content_root = assemble_superblock(ctx, params)
+    """Sortition the finished superblock and prune to the winning sub-block.
+
+    ``trees`` is the miner's (parents, contents) tree pair, updated in
+    place so that only the sub-blocks changed since its last block are
+    rehashed; a caller that mines once may omit it.
+    """
+    trees = trees or (MerkleTree(), MerkleTree())
+    parents, _, parent_root, content_root = assemble_superblock(ctx, params, trees)
     header = Header(parent_root, content_root, nonce)
     block_type = sortition(u, params)
     index = block_type.leaf_index(params.m)
@@ -127,13 +140,14 @@ def finish_mining(
     else:
         content = VoterContent(tuple(ctx.votes[block_type.chain_index]))
         level = 0
+    parent_tree, content_tree = trees
     return Block(
         header=header,
         block_type=block_type,
         parent_leaf=parents[index],
         content=content,
-        parent_proof=merkle_prove(parents, index),
-        content_proof=merkle_prove(contents, index),
+        parent_proof=parent_tree.prove(index),
+        content_proof=content_tree.prove(index),
         miner_id=ctx.miner_id,
         level=level,
     )

@@ -40,6 +40,7 @@ from .config import config_digest
 from .confirmation import ConfirmationEngine
 from .crypto import get_scheme
 from .ledger import Transaction, TxInput, TxOutput, Utxo, signed_transaction, total_value
+from .merkle import MerkleTree
 from .mining import finish_mining, honest_context, schedule_mining
 from .metrics import MetricsReport, latency_stats
 
@@ -361,6 +362,8 @@ class Node(Peer):
         self.state = ChainState(sim.params.m, vote_rule=sim.cfg["prism"]["vote_rule"])
         self.jitter_rng = np.random.default_rng([sim.seed, 3, node_id])
         self.strategy = None  # set by the adversary module when applicable
+        # (parents, contents) of this miner's last superblock
+        self.trees = (MerkleTree(), MerkleTree())
 
     # --- mining ----------------------------------------------------------------
 
@@ -378,7 +381,7 @@ class Node(Peer):
             return  # superseded by a superblock change
         ctx = self.build_context(now)
         block = finish_mining(
-            ctx, self.sim.params, float(self.rng.random()), int(self.rng.integers(2**62))
+            ctx, self.sim.params, float(self.rng.random()), int(self.rng.integers(2**62)), self.trees
         )
         self.sim.record_mined(block, now, self.id)
         if self.strategy is None:
@@ -397,15 +400,15 @@ class Node(Peer):
     # --- receipt -----------------------------------------------------------------
 
     def on_block(self, block: Block, from_peer: int, now: float) -> None:
-        if self.state.has_block(block.digest) or block.digest in self.state.orphan_digests:
+        if self.state.seen(block.digest):
             return
-        try:
-            validate_block(block, self.sim.params, self.sim.scheme)
-        except ValidationError:
+        if not self.sim.is_valid(block):
             self.sim.invalid_blocks += 1
             return
         changes = self.state.receive_block(block)
-        if changes == ["duplicate"]:
+        # a rejected block is counted once here and then known as a duplicate
+        self.sim.invalid_blocks += sum(1 for c in changes if c.startswith("rejected:"))
+        if changes[0].startswith("rejected:"):
             return
         # gossip: forward on first receipt, even while parents are missing
         self.sim.broadcast(self.id, block, now, exclude=from_peer)
@@ -468,6 +471,8 @@ class Simulation(EventCore):
 
         self.block_counts = {TRANSACTION: 0, PROPOSER: 0, VOTER: 0}
         self.blocks_by_digest: dict[bytes, Block] = {}
+        # validation verdict per Block object; a forged body can reuse a digest
+        self._verdicts: dict[Block, bool] = {}
         self.invalid_blocks = 0
         self.spam_tx_digests: set[bytes] = set()
         self.spam_sets = 0
@@ -522,6 +527,22 @@ class Simulation(EventCore):
             if found is not None:
                 arrival = self._link_arrival(peer, requester, self._wire_size(found), now)
                 self.push(arrival, ARRIVE, (requester, found, peer))
+
+    def is_valid(self, block: Block) -> bool:
+        """Whether ``block`` passes ``validate_block``, checked once per object.
+
+        The verdict depends only on the block and the run's fixed
+        parameters and signature scheme, so every node can share it.
+        """
+        verdict = self._verdicts.get(block)
+        if verdict is None:
+            try:
+                validate_block(block, self.params, self.scheme)
+                verdict = True
+            except ValidationError:
+                verdict = False
+            self._verdicts[block] = verdict
+        return verdict
 
     def record_mined(self, block: Block, now: float, miner: int) -> None:
         self.mine_times[block.digest] = now

@@ -1,6 +1,6 @@
 import numpy as np
 
-from helpers import KEYS, SCHEME, Bench, genesis_set, spend
+from helpers import KEYS, SCHEME, Bench, forge_proposer, genesis_set, make_params, spend
 
 from prismsim.blocks import validate_block
 from prismsim.chain import ChainState, TxRejected
@@ -334,3 +334,88 @@ def test_deep_voter_chain_delivered_tip_first():
     assert not state.orphans and not state.orphan_digests
     tree = state.voter_trees[0]
     assert tree.tip == chain[-1].digest and tree.tip_chainlen == 5000
+
+
+def _scan(state, digest):
+    """Reference lookup: search the pools and every tree."""
+    if digest in state.prp_entries:
+        return state.prp_entries[digest].block
+    if digest in state.tx_blocks:
+        return state.tx_blocks[digest]
+    for tree in state.voter_trees:
+        if digest in tree.entries:
+            return tree.entries[digest].block
+    return None
+
+
+def test_block_lookup_agrees_with_trees_and_pools():
+    bench = Bench(m=3)
+    bench.mine("transaction")
+    bench.mine("proposer")
+    for i in (0, 2, 2, 1):
+        bench.mine("voter", chain_index=i)
+    bench.mine("proposer")
+    bench.mine("transaction")
+    # orphans: a voter block and a proposer block whose parents never arrive
+    other = Bench(m=3, seed=9)
+    other.mine("voter", chain_index=1)
+    orphans = [other.mine("voter", chain_index=1), None]
+    other.mine("proposer")
+    orphans[1] = other.mine("proposer")
+    for block in orphans:
+        assert "orphaned" in bench.state.receive_block(block)
+
+    state = bench.state
+    stored = (
+        list(state.tx_blocks)
+        + list(state.prp_entries)
+        + [d for tree in state.voter_trees for d in tree.entries]
+    )
+    assert len(stored) == 8
+    for digest in stored:
+        assert state.has_block(digest)
+        assert state.get_block(digest) is _scan(state, digest)
+    genesis = [state.proposer_genesis] + [tree.genesis for tree in state.voter_trees]
+    for digest in genesis:
+        assert state.has_block(digest) and state.get_block(digest) is None
+    for block in orphans:
+        assert not state.has_block(block.digest) and state.get_block(block.digest) is None
+        assert _scan(state, block.digest) is None
+    assert not state.has_block(b"\x77" * 32) and state.get_block(b"\x77" * 32) is None
+
+
+def test_bad_level_proposer_rejected_with_buffered_descendants():
+    params = make_params(m=2)
+    state = ChainState(2)
+    bad = forge_proposer(params, state.proposer_genesis, level=3)
+    child = forge_proposer(params, bad.digest, level=4)
+    for block in (bad, child):
+        validate_block(block, params, SCHEME)  # well formed; only the level is wrong
+    assert "orphaned" in state.receive_block(child)
+    assert state.receive_block(bad) == ["rejected:bad_level", "rejected:bad_parent"]
+    assert not state.orphans and not state.orphan_digests
+    for block in (bad, child):
+        assert not state.has_block(block.digest)
+        assert state.receive_block(block) == ["duplicate"]
+    late = forge_proposer(params, child.digest, level=5)
+    assert state.receive_block(late) == ["rejected:bad_parent"]
+    on_voter_genesis = forge_proposer(params, state.voter_trees[1].genesis, level=1)
+    assert state.receive_block(on_voter_genesis) == ["rejected:bad_parent"]
+    assert state.prp_entries == {} and state.prp_parent_level == 0
+
+
+def test_bad_level_orphan_rejected_when_its_parent_arrives():
+    params = make_params(m=2)
+    state = ChainState(2)
+    good = forge_proposer(params, state.proposer_genesis, level=1)
+    bad = forge_proposer(params, good.digest, level=5)
+    below_bad = forge_proposer(params, bad.digest, level=6)
+    sibling = forge_proposer(params, good.digest, level=2)
+    for block in (below_bad, bad, sibling):
+        assert "orphaned" in state.receive_block(block)
+    changes = state.receive_block(good)
+    assert changes.count("proposer_stored") == 2  # good and its valid child
+    assert "rejected:bad_level" in changes and "rejected:bad_parent" in changes
+    assert set(state.prp_entries) == {good.digest, sibling.digest}
+    assert state.prp_parent == sibling.digest
+    assert not state.orphans and not state.orphan_digests

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prismsim import merkle
 from prismsim.crypto import sha256
-from prismsim.merkle import MerkleProof, merkle_prove, merkle_root, merkle_verify
+from prismsim.merkle import MerkleProof, MerkleTree, merkle_prove, merkle_root, merkle_verify
 
 
 def reference_root(leaves):
@@ -96,3 +97,47 @@ def test_empty_leaf_list_is_an_error():
         merkle_root([])
     with pytest.raises(IndexError):
         merkle_prove([b"a"], 1)
+
+
+@st.composite
+def edit_sequences(draw):
+    """A start size and rounds of edits: leaf rewrites, sometimes a resize."""
+    size = draw(st.sampled_from([1, 2, 3, 5, 7, 9, 102, 1002]) | st.integers(1, 40))
+    rounds = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.integers(0, 9)) == 0:
+            size = draw(st.integers(1, 40))  # a new leaf count rebuilds the tree
+        edits = draw(
+            st.lists(st.tuples(st.integers(0, size - 1), st.binary(max_size=6)), max_size=6)
+        )
+        rounds.append((size, edits))
+    return rounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(edit_sequences())
+def test_incremental_tree_equals_full_rebuild(rounds):
+    tree = MerkleTree()
+    leaves: list[bytes] = []
+    for size, edits in rounds:
+        # leaves keep their bytes across a resize where they still fit
+        leaves = (leaves + [b"leaf%d" % i for i in range(len(leaves), size)])[:size]
+        for index, value in edits:
+            leaves[index] = value
+        root = tree.update(leaves)
+        assert root == tree.root == merkle_root(leaves) == reference_root(leaves)
+        for i, leaf in enumerate(leaves):
+            assert merkle_verify(root, leaf, tree.prove(i))
+
+
+def test_update_rehashes_only_changed_paths(monkeypatch):
+    leaves = [i.to_bytes(4, "little") for i in range(1002)]
+    tree = MerkleTree()
+    tree.update(leaves)
+    hashed = []
+    monkeypatch.setattr(merkle, "sha256", lambda data: hashed.append(data) or sha256(data))
+    assert tree.update(list(leaves)) == tree.root
+    assert hashed == []  # same bytes: nothing to rehash
+    leaves[1001] = b"changed"  # last leaf: its odd-level duplicates pair with themselves
+    tree.update(leaves)
+    assert len(hashed) == 1 + 10  # the leaf and one node per level above it

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import Bench
+from helpers import Bench, forge_proposer
 
 import prismsim
 from prismsim.config import ConfigError, resolve
@@ -260,6 +260,60 @@ def test_out_of_range_voter_block_counted_invalid_and_run_continues():
     assert report.invalid_blocks == 1
     assert sim.now == cfg["duration"]
     assert report.blocks["total"] > 0
+
+
+def test_invalid_block_validated_once_and_counted_per_receipt(monkeypatch):
+    import prismsim.netsim as netsim
+
+    validated = []
+    real = netsim.validate_block
+    monkeypatch.setattr(
+        netsim, "validate_block", lambda block, *args: validated.append(block) or real(block, *args)
+    )
+    cfg = small_cfg(duration=10.0)
+    sim = Simulation(cfg, seed=3)
+    stray = Bench(m=20, seed=1).mine("voter", chain_index=15, deliver=False)
+    receivers = (0, 2, 4, 5)
+    for i, node in enumerate(receivers):
+        sim.push(2.0 + i, ARRIVE, (node, stray, (node + 1) % 6))
+    report = sim.run().report
+    assert report.invalid_blocks == len(receivers)
+    assert sum(1 for b in validated if b is stray) == 1
+    # every block object is validated once, however many nodes receive it
+    assert len({id(b) for b in validated}) == len(validated) > report.blocks["total"] // 2
+
+
+def test_verdict_is_kept_per_object_not_per_digest():
+    sim = Simulation(small_cfg(duration=1.0), seed=0)
+    good = Bench(m=10, seed=2).mine("voter", chain_index=3, deliver=False)
+    forged = type(good).deserialize(good.serialize())
+    forged.content = type(good.content)(((7, b"\x01" * 32),))  # same header, other body
+    assert forged.digest == good.digest
+    assert sim.is_valid(good) and not sim.is_valid(forged) and sim.is_valid(good)
+
+
+def test_bad_level_proposer_counted_once_and_not_forwarded():
+    cfg = small_cfg(duration=20.0, topology={"kind": "ring", "nodes": 6})
+    sim = Simulation(cfg, seed=4)
+    genesis = sim.nodes[0].state.proposer_genesis
+    bad = forge_proposer(sim.params, genesis, level=3)
+    receipts = []
+    for node in sim.nodes:
+        original = node.on_block
+
+        def counting(block, from_peer, now, original=original):
+            if block is bad:
+                receipts.append(now)
+            return original(block, from_peer, now)
+
+        node.on_block = counting
+    for when, node in ((1.0, 0), (1.5, 0), (2.0, 3)):
+        sim.push(when, ARRIVE, (node, bad, (node + 1) % 6))
+    report = sim.run().report
+    assert receipts == [1.0, 1.5, 2.0]
+    assert report.invalid_blocks == 2  # node 0's repeat is a duplicate
+    assert all(bad.digest in node.state.rejected for node in (sim.nodes[0], sim.nodes[3]))
+    assert report.blocks["total"] > 0 and report.conservation_ok
 
 
 LC_SMALL = {
