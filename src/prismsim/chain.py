@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import (
+    PROPOSER,
     TRANSACTION,
     VOTER,
     Block,
@@ -23,13 +24,14 @@ FIRST_SEEN = "first_seen"
 MOST_VOTED = "most_voted"
 
 
-def drain_orphans(orphans: dict[bytes, list], digest: bytes):
+def drain_orphans(orphans: dict[bytes, list], digest: bytes, stored):
     """Pop and yield the blocks buffered below ``digest``, depth first.
 
     The caller inserts each block before the next one is drawn.  A child
     and its own waiting descendants come before the child's next sibling,
-    so the first arrival keeps a tip tie.  An explicit stack keeps deep
-    chains clear of the recursion limit.
+    so the first arrival keeps a tip tie; a block that ``stored(digest)``
+    says the caller refused keeps its descendants buffered.  An explicit
+    stack keeps deep chains clear of the recursion limit.
     """
     pending = [iter(orphans.pop(digest, ()))]
     while pending:
@@ -38,6 +40,8 @@ def drain_orphans(orphans: dict[bytes, list], digest: bytes):
             pending.pop()
             continue
         yield block
+        if not stored(block.digest):
+            continue
         waiting = orphans.pop(block.digest, None)
         if waiting:
             pending.append(iter(waiting))
@@ -189,8 +193,12 @@ class ChainState:
 
         self.orphans: dict[bytes, list[Block]] = {}
         self.orphan_digests: set[bytes] = set()
-        # proposer blocks refused for their level or their ancestry
+        # blocks refused for their ancestry; the parent is committed, so
+        # every copy of the digest is refused
         self.rejected: set[bytes] = set()
+        # (digest, level) of proposer blocks refused for their level; the
+        # level is not committed, so a copy with another level may be right
+        self.bad_levels: set[tuple[bytes, int]] = set()
 
         # tx-block digests claimed by proposer blocks (including claims
         # that arrived before the tx block itself)
@@ -247,10 +255,24 @@ class ChainState:
         """A stored block; None for genesis, orphans and unknown digests."""
         return self.blocks.get(digest)
 
-    def seen(self, digest: bytes) -> bool:
-        """Stored, genesis, buffered as an orphan, or rejected."""
-        return (
-            self.has_block(digest) or digest in self.orphan_digests or digest in self.rejected
+    def seen(self, block: Block) -> bool:
+        """Stored, genesis, buffered as an orphan, or rejected.
+
+        A proposer block is compared by digest and level, since a copy
+        with another level shares the digest.
+        """
+        digest = block.digest
+        if self.has_block(digest) or digest in self.rejected:
+            return True
+        if (digest, block.level) in self.bad_levels:
+            return True
+        if digest not in self.orphan_digests:
+            return False
+        if block.block_type.kind != PROPOSER:
+            return True
+        return any(
+            b.digest == digest and b.level == block.level
+            for b in self.orphans.get(block.parent_ref, ())
         )
 
     def receive_block(self, block: Block) -> list[str]:
@@ -259,13 +281,16 @@ class ChainState:
         Change tags: ``tx_block``, ``voter_stored:i``, ``voter_tip:i``,
         ``proposer_stored``, ``new_proposer_level:L``, ``prp_parent:L``,
         ``duplicate``, ``orphaned``, ``request_parent:<hex>``,
-        ``rejected:bad_level``, ``rejected:bad_parent``.  The tags of a
-        rejected proposer block start with its own ``rejected:`` tag,
-        followed by one ``rejected:bad_parent`` per block buffered below
-        it; none of them is stored.  Rejected digests are remembered, so a
+        ``rejected:bad_level``, ``rejected:bad_parent``.  A block whose
+        parent is rejected or of another chain or kind is rejected with
+        every block buffered below it: its tags start with its own
+        ``rejected:bad_parent``, followed by one per descendant.  A
+        proposer block whose level does not follow its parent's is
+        rejected alone, and the blocks buffered below its digest wait for
+        a copy with the right level.  Rejections are remembered, so a
         repeat is a duplicate.
         """
-        if self.seen(block.digest):
+        if self.seen(block):
             return ["duplicate"]
         kind = block.block_type.kind
         if kind == TRANSACTION:
@@ -273,14 +298,18 @@ class ChainState:
         parent = block.parent_ref
         if kind == VOTER:
             tree = self.voter_trees[block.block_type.chain_index]
-            if not tree.has(parent):
+            if tree.has(parent):
+                changes = self._insert_voter(block)
+            elif self.has_block(parent) or parent in self.rejected:
+                return self._reject(block)
+            else:
                 return self._buffer_orphan(block, parent)
-            changes = self._insert_voter(block)
         else:
             if not self.has_block(parent) and parent not in self.rejected:
                 return self._buffer_orphan(block, parent)
             changes = self._insert_proposer(block)
-        changes.extend(self._resolve_orphans(block.digest))
+        if block.digest in self.blocks:
+            changes.extend(self._resolve_orphans(block.digest))
         return changes
 
     def _buffer_orphan(self, block: Block, missing: bytes) -> list[str]:
@@ -290,28 +319,33 @@ class ChainState:
 
     def _resolve_orphans(self, digest: bytes) -> list[str]:
         changes: list[str] = []
-        for block in drain_orphans(self.orphans, digest):
+        for block in drain_orphans(self.orphans, digest, self.blocks.__contains__):
             self.orphan_digests.discard(block.digest)
-            if block.block_type.kind == VOTER:
+            if block.block_type.kind != VOTER:
+                changes.extend(self._insert_proposer(block))
+            elif self.voter_trees[block.block_type.chain_index].has(block.parent_ref):
                 changes.extend(self._insert_voter(block))
             else:
-                changes.extend(self._insert_proposer(block))
+                changes.extend(self._reject(block))  # the parent is of another chain or kind
         return changes
 
-    def _reject(self, block: Block, reason: str) -> list[str]:
-        """Remember ``block`` as rejected, with every block buffered below it.
+    def _reject(self, block: Block) -> list[str]:
+        """Remember ``block`` as rejected for its parent, with every block
+        buffered below it.
 
-        The buffered descendants are taken out of the orphan buffer here,
-        so an enclosing ``drain_orphans`` finds none to hand on.
+        The parent is committed by the parent proof, so the digest is
+        refused for good.  The buffered descendants are taken out of the
+        orphan buffer here, so an enclosing ``drain_orphans`` finds none
+        to hand on.
         """
         changes = []
-        pending = [(block, reason)]
+        pending = [block]
         while pending:
-            rejected, why = pending.pop()
+            rejected = pending.pop()
             self.rejected.add(rejected.digest)
             self.orphan_digests.discard(rejected.digest)
-            changes.append(f"rejected:{why}")
-            pending.extend((child, "bad_parent") for child in self.orphans.pop(rejected.digest, ()))
+            changes.append("rejected:bad_parent")
+            pending.extend(self.orphans.pop(rejected.digest, ()))
         return changes
 
     def _receive_tx_block(self, block: Block) -> list[str]:
@@ -369,10 +403,11 @@ class ChainState:
         parent = block.parent_ref
         parent_entry = self.prp_entries.get(parent)
         if parent_entry is None and parent != self.proposer_genesis:
-            return self._reject(block, "bad_parent")  # rejected, or not a proposer block
+            return self._reject(block)  # rejected, or not a proposer block
         parent_level = parent_entry.level if parent_entry else 0
         if block.level != parent_level + 1:
-            return self._reject(block, "bad_level")
+            self.bad_levels.add((block.digest, block.level))
+            return ["rejected:bad_level"]
         entry = ProposerEntry(block, parent, block.level)
         self.prp_entries[block.digest] = entry
         self.blocks[block.digest] = block

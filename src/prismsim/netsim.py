@@ -400,7 +400,7 @@ class Node(Peer):
     # --- receipt -----------------------------------------------------------------
 
     def on_block(self, block: Block, from_peer: int, now: float) -> None:
-        if self.state.seen(block.digest):
+        if self.state.seen(block):
             return
         if not self.sim.is_valid(block):
             self.sim.invalid_blocks += 1

@@ -1,9 +1,10 @@
 import numpy as np
 
-from helpers import KEYS, SCHEME, Bench, forge_proposer, genesis_set, make_params, spend
+from helpers import KEYS, SCHEME, Bench, forge_proposer, genesis_set, make_params, spend, u_for
 
-from prismsim.blocks import validate_block
+from prismsim.blocks import Block, genesis_proposer_digest, genesis_voter_digest, validate_block
 from prismsim.chain import ChainState, TxRejected
+from prismsim.mining import MinerContext, finish_mining
 
 
 def test_receive_wellformed_tx_accepted():
@@ -384,7 +385,35 @@ def test_block_lookup_agrees_with_trees_and_pools():
     assert not state.has_block(b"\x77" * 32) and state.get_block(b"\x77" * 32) is None
 
 
-def test_bad_level_proposer_rejected_with_buffered_descendants():
+def relevel(block, level):
+    """A copy of ``block`` under the same digest with another level."""
+    copy = Block.deserialize(block.serialize())
+    copy.level = level
+    assert copy.digest == block.digest
+    return copy
+
+
+def forge_voter(params, chain_index, parent):
+    """Mine a voter block of one chain on a hand-picked parent digest."""
+    vt_parent = [genesis_voter_digest(i) for i in range(params.m)]
+    vt_parent[chain_index] = parent
+    ctx = MinerContext(
+        miner_id=0,
+        hash_power=1.0,
+        prp_parent=genesis_proposer_digest(),
+        prp_parent_level=0,
+        vt_parent=vt_parent,
+        txs=[],
+        unref_prp_refs=(),
+        unref_tx_refs=(),
+        votes=[[] for _ in range(params.m)],
+    )
+    block = finish_mining(ctx, params, u_for(params, "voter", chain_index), 1000 + chain_index)
+    validate_block(block, params, SCHEME)
+    return block
+
+
+def test_bad_level_proposer_rejected_without_draining_its_orphans():
     params = make_params(m=2)
     state = ChainState(2)
     bad = forge_proposer(params, state.proposer_genesis, level=3)
@@ -392,16 +421,52 @@ def test_bad_level_proposer_rejected_with_buffered_descendants():
     for block in (bad, child):
         validate_block(block, params, SCHEME)  # well formed; only the level is wrong
     assert "orphaned" in state.receive_block(child)
-    assert state.receive_block(bad) == ["rejected:bad_level", "rejected:bad_parent"]
+    assert state.receive_block(bad) == ["rejected:bad_level"]
+    assert state.receive_block(bad) == ["duplicate"]
+    assert state.receive_block(child) == ["duplicate"]
+    assert not state.has_block(bad.digest) and state.prp_entries == {}
+    assert state.orphans == {bad.digest: [child]}  # waits for a copy with the right level
+    # the same digest at level 1 is a valid block: it is stored, and the
+    # waiting child is then checked against it
+    right = relevel(bad, 1)
+    assert state.receive_block(right) == [
+        "proposer_stored", "new_proposer_level:1", "prp_parent:1", "rejected:bad_level",
+    ]
+    assert set(state.prp_entries) == {bad.digest} and state.get_block(bad.digest) is right
     assert not state.orphans and not state.orphan_digests
-    for block in (bad, child):
-        assert not state.has_block(block.digest)
-        assert state.receive_block(block) == ["duplicate"]
-    late = forge_proposer(params, child.digest, level=5)
-    assert state.receive_block(late) == ["rejected:bad_parent"]
-    on_voter_genesis = forge_proposer(params, state.voter_trees[1].genesis, level=1)
-    assert state.receive_block(on_voter_genesis) == ["rejected:bad_parent"]
-    assert state.prp_entries == {} and state.prp_parent_level == 0
+
+
+def test_level_tampered_copy_does_not_shadow_the_honest_block():
+    params = make_params(m=2)
+    state = ChainState(2)
+    honest = forge_proposer(params, state.proposer_genesis, level=1)
+    child = forge_proposer(params, honest.digest, level=2)
+    tampered = relevel(honest, 2)
+    assert state.receive_block(tampered) == ["rejected:bad_level"]
+    assert "orphaned" in state.receive_block(child)
+    changes = state.receive_block(honest)
+    assert changes.count("proposer_stored") == 2
+    assert set(state.prp_entries) == {honest.digest, child.digest}
+    assert state.prp_parent == child.digest
+    assert state.receive_block(tampered) == ["duplicate"]
+
+
+def test_level_tampered_orphan_does_not_shadow_the_honest_orphan():
+    params = make_params(m=2)
+    state = ChainState(2)
+    first = forge_proposer(params, state.proposer_genesis, level=1)
+    honest = forge_proposer(params, first.digest, level=2)
+    child = forge_proposer(params, honest.digest, level=3)
+    tampered = relevel(honest, 5)
+    for block in (tampered, honest, child):
+        assert "orphaned" in state.receive_block(block)
+    assert state.receive_block(relevel(honest, 5)) == ["duplicate"]
+    assert state.receive_block(relevel(honest, 2)) == ["duplicate"]
+    changes = state.receive_block(first)
+    assert changes.count("proposer_stored") == 3 and changes.count("rejected:bad_level") == 1
+    assert state.prp_parent == child.digest and state.prp_parent_level == 3
+    assert state.get_block(honest.digest) is honest
+    assert not state.orphans and not state.orphan_digests
 
 
 def test_bad_level_orphan_rejected_when_its_parent_arrives():
@@ -415,7 +480,52 @@ def test_bad_level_orphan_rejected_when_its_parent_arrives():
         assert "orphaned" in state.receive_block(block)
     changes = state.receive_block(good)
     assert changes.count("proposer_stored") == 2  # good and its valid child
-    assert "rejected:bad_level" in changes and "rejected:bad_parent" in changes
+    assert changes.count("rejected:bad_level") == 1 and "rejected:bad_parent" not in changes
     assert set(state.prp_entries) == {good.digest, sibling.digest}
     assert state.prp_parent == sibling.digest
+    assert state.orphans == {bad.digest: [below_bad]}
+    assert state.orphan_digests == {below_bad.digest}
+
+
+def test_proposer_on_a_parent_of_another_kind_rejected_with_descendants():
+    params = make_params(m=2)
+    state = ChainState(2)
+    on_voter_genesis = forge_proposer(params, state.voter_trees[1].genesis, level=1)
+    child = forge_proposer(params, on_voter_genesis.digest, level=2)
+    assert "orphaned" in state.receive_block(child)
+    assert state.receive_block(on_voter_genesis) == ["rejected:bad_parent", "rejected:bad_parent"]
     assert not state.orphans and not state.orphan_digests
+    for block in (on_voter_genesis, child):
+        assert state.receive_block(block) == ["duplicate"]
+    late = forge_proposer(params, child.digest, level=3)
+    assert state.receive_block(late) == ["rejected:bad_parent"]
+    assert state.prp_entries == {} and state.prp_parent_level == 0
+
+
+def test_voter_block_on_a_parent_outside_its_chain_rejected():
+    params = make_params(m=2)
+    state = ChainState(2)
+    # parent already stored elsewhere: rejected at once, not buffered
+    on_other_genesis = forge_voter(params, 0, state.voter_trees[1].genesis)
+    assert state.receive_block(on_other_genesis) == ["rejected:bad_parent"]
+    assert state.receive_block(forge_voter(params, 0, on_other_genesis.digest)) == [
+        "rejected:bad_parent"
+    ]
+    # parent delivered later: rejected when it arrives, with its descendants
+    other_chain = forge_voter(params, 1, state.voter_trees[1].genesis)
+    proposer = forge_proposer(params, state.proposer_genesis, level=1)
+    waiting = []
+    for parent in (other_chain, proposer):
+        below = forge_voter(params, 0, parent.digest)
+        below_below = forge_voter(params, 0, below.digest)
+        for block in (below_below, below):
+            assert "orphaned" in state.receive_block(block)
+        waiting += [below, below_below]
+    assert state.receive_block(other_chain) == [
+        "voter_stored:1", "voter_tip:1", "rejected:bad_parent", "rejected:bad_parent",
+    ]
+    assert state.receive_block(proposer)[-2:] == ["rejected:bad_parent", "rejected:bad_parent"]
+    assert not state.orphans and not state.orphan_digests
+    for block in waiting:
+        assert state.receive_block(block) == ["duplicate"]
+    assert state.voter_trees[0].entries == {} and state.voter_blocks_stored == 1

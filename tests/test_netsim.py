@@ -312,7 +312,7 @@ def test_bad_level_proposer_counted_once_and_not_forwarded():
     report = sim.run().report
     assert receipts == [1.0, 1.5, 2.0]
     assert report.invalid_blocks == 2  # node 0's repeat is a duplicate
-    assert all(bad.digest in node.state.rejected for node in (sim.nodes[0], sim.nodes[3]))
+    assert all(node.state.seen(bad) for node in (sim.nodes[0], sim.nodes[3]))
     assert report.blocks["total"] > 0 and report.conservation_ok
 
 
