@@ -118,6 +118,11 @@ class PrivateDoubleSpendStrategy(Strategy):
         self.forks: dict[int, _PrivateFork] = {}
         self.withheld: list[Block] = []
         self.released = False
+        # per chain, the private vote list as of ``votes_for``; a chain's
+        # list is dropped when its fork votes, all of them when either
+        # part of ``votes_for`` moves
+        self.private_votes: dict[int, list[tuple[int, bytes]]] = {}
+        self.votes_for: tuple[int, bool] = (0, False)
 
     # --- fork bookkeeping -------------------------------------------------------
 
@@ -152,9 +157,23 @@ class PrivateDoubleSpendStrategy(Strategy):
         return fork
 
     def _private_votes(self, chain: int) -> list[tuple[int, bytes]]:
+        """The fork's vote list, rebuilt only when it may have changed.
+
+        Its inputs are the fork's voted levels, the top proposer level and
+        whether the private block exists; first-seen choices below the top
+        level are fixed.  A rebuild makes a new list, so an unchanged list
+        keeps its identity and its leaf bytes in the miner.
+        """
         state = self.node.state
+        votes_for = (state.prp_parent_level, self.private_block is not None)
+        if votes_for != self.votes_for:
+            self.votes_for = votes_for
+            self.private_votes.clear()
+        votes = self.private_votes.get(chain)
+        if votes is not None:
+            return votes
         fork = self._fork(chain)
-        votes = []
+        votes = self.private_votes[chain] = []
         for level in range(1, state.prp_parent_level + 1):
             if level in fork.voted:
                 continue
@@ -209,6 +228,7 @@ class PrivateDoubleSpendStrategy(Strategy):
         fork.tip = block.digest
         fork.length += 1
         fork.voted.update(level for level, _ in block.content.votes)
+        self.private_votes.pop(chain, None)
         if self.phase == "released":
             return [block]
         self.withheld.append(block)

@@ -1,9 +1,11 @@
 """Per-node blockchain state machine.
 
 Ingests validated blocks, maintains the proposer tree and the m voter
-trees with their longest chains, keeps the miner-facing pools exact, and
-buffers blocks whose ancestors have not arrived yet.  One instance per
-simulated node; the simulator delivers events serially per node.
+trees with their longest chains, keeps the miner-facing pools and vote
+lists exact, and buffers blocks whose ancestors have not arrived yet.
+``check_invariants`` recomputes the derived indexes for tests.  One
+instance per simulated node; the simulator delivers events serially per
+node.
 """
 from __future__ import annotations
 
@@ -45,6 +47,11 @@ def drain_orphans(orphans: dict[bytes, list], digest: bytes, stored):
         waiting = orphans.pop(block.digest, None)
         if waiting:
             pending.append(iter(waiting))
+
+
+def _expect_equal(what: str, kept, fresh) -> None:
+    if kept != fresh:
+        raise AssertionError(f"{what}: kept {kept!r}, recomputed {fresh!r}")
 
 
 @dataclass
@@ -190,6 +197,12 @@ class ChainState:
         self.pending_vote_levels: list[set[int]] = [set() for _ in range(m)]
         # main-chain vote tallies across all trees: level -> digest -> count
         self.votes_by_level: dict[int, dict[bytes, int]] = {}
+        # the honest miner's vote list per chain, (level, vote_choice(level))
+        # for its pending levels in order; a stale list is rebuilt, never
+        # edited, so an unchanged list keeps its identity between blocks
+        self.vote_choices: dict[int, bytes] = {}
+        self.vote_lists: list[list[tuple[int, bytes]]] = [[] for _ in range(m)]
+        self.stale_vote_lists: set[int] = set()
 
         self.orphans: dict[bytes, list[Block]] = {}
         self.orphan_digests: set[bytes] = set()
@@ -387,6 +400,9 @@ class ChainState:
                 self.votes_by_level[level][digest] = (
                     self.votes_by_level[level].get(digest, 0) + 1
                 )
+            if self.vote_rule == MOST_VOTED:
+                for level in {level for level, _ in removed + added}:
+                    self._recheck_choice(level)
             if removed:
                 # reorg: recompute the unvoted-level set for this chain
                 self.pending_vote_levels[index] = {
@@ -397,6 +413,7 @@ class ChainState:
             else:
                 for level, _ in added:
                     self.pending_vote_levels[index].discard(level)
+            self.stale_vote_lists.add(index)
         return changes
 
     def _insert_proposer(self, block: Block) -> list[str]:
@@ -425,14 +442,28 @@ class ChainState:
             self.unref_tx_pool.pop(ref, None)
         if new_level:
             changes.append(f"new_proposer_level:{block.level}")
+            self.vote_choices[block.level] = block.digest
             for i in range(self.m):
                 if block.level not in self.voter_trees[i].main_votes:
                     self.pending_vote_levels[i].add(block.level)
+                    self.stale_vote_lists.add(i)
+        elif self.vote_rule == MOST_VOTED:
+            self._recheck_choice(block.level)
         if block.level > self.prp_parent_level:
             self.prp_parent = block.digest
             self.prp_parent_level = block.level
             changes.append(f"prp_parent:{block.level}")
         return changes
+
+    def _recheck_choice(self, level: int) -> None:
+        """Keep ``vote_choices[level]`` current; on a change, every chain
+        with ``level`` pending needs a new vote list."""
+        choice = self.vote_choice(level)
+        if choice != self.vote_choices.get(level):
+            self.vote_choices[level] = choice
+            for i, pending in enumerate(self.pending_vote_levels):
+                if level in pending:
+                    self.stale_vote_lists.add(i)
 
     # --- queries ---------------------------------------------------------------
 
@@ -480,6 +511,59 @@ class ChainState:
 
     def unvoted_levels(self, chain_index: int) -> list[int]:
         return sorted(self.pending_vote_levels[chain_index])
+
+    def honest_votes(self) -> list[list[tuple[int, bytes]]]:
+        """Each chain's honest vote list: one (level, vote choice) per
+        unvoted level, in level order.
+
+        Only the lists made stale since the last call are rebuilt; the
+        others are the same objects as before.  Callers must not edit the
+        lists.
+        """
+        choices = self.vote_choices
+        for i in self.stale_vote_lists:
+            self.vote_lists[i] = [
+                (level, choices[level]) for level in sorted(self.pending_vote_levels[i])
+            ]
+        self.stale_vote_lists.clear()
+        return self.vote_lists
+
+    def check_invariants(self) -> None:
+        """Recompute the derived indexes from scratch and compare them
+        with the kept ones; raise AssertionError on the first mismatch.
+
+        Covers the vote tallies (from every tree's main-chain votes), the
+        unvoted-level sets, the mempool input index and the honest vote
+        lists.  Costs a pass over the whole state: for tests, not runs.
+        """
+        tallies: dict[int, dict[bytes, int]] = {}
+        for tree in self.voter_trees:
+            for level, (digest, _) in tree.main_votes.items():
+                counts = tallies.setdefault(level, {})
+                counts[digest] = counts.get(digest, 0) + 1
+        kept = {level: counts for level, counts in self.votes_by_level.items() if counts}
+        _expect_equal("votes_by_level", kept, tallies)
+        for i, tree in enumerate(self.voter_trees):
+            pending = {
+                level
+                for level in range(1, self.prp_parent_level + 1)
+                if level not in tree.main_votes
+            }
+            _expect_equal(f"pending_vote_levels[{i}]", self.pending_vote_levels[i], pending)
+        inputs = {
+            coin: digest
+            for digest, entry in self.mempool.items()
+            for coin in entry.tx.input_ids()
+        }
+        _expect_equal("mempool_inputs", self.mempool_inputs, inputs)
+        votes = self.honest_votes()
+        for i in range(self.m):
+            fresh = []
+            for level in self.unvoted_levels(i):
+                choice = self.vote_choice(level)
+                if choice is not None:
+                    fresh.append((level, choice))
+            _expect_equal(f"honest vote list of chain {i}", votes[i], fresh)
 
     def voter_fork_rate(self) -> float:
         total = self.voter_blocks_stored

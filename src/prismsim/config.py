@@ -187,6 +187,8 @@ def validate(cfg: dict) -> None:
             )
     if adv["target_level"] < 1:
         raise ConfigError("adversary.target_level", "must be >= 1")
+    if adv["release_timeout_fraction"] < 0:
+        raise ConfigError("adversary.release_timeout_fraction", "must be >= 0")
     if adv["strategy"] == "balancing" and cfg["prism"]["vote_rule"] != "most_voted":
         raise ConfigError(
             "prism.vote_rule", "the balancing scenario requires the most_voted rule"
@@ -198,6 +200,12 @@ def validate(cfg: dict) -> None:
             raise ConfigError("spam.tps", "must be > 0")
         if spam["jitter"]["kind"] not in ("none", "uniform", "exponential"):
             raise ConfigError("spam.jitter.kind", "must be none/uniform/exponential")
+    if spam["victims"] < 0:
+        raise ConfigError("spam.victims", "must be >= 0 (0 = every honest node)")
+    # every transaction draws jitter, whether or not spam is enabled
+    for key in ("max_s", "mean_s"):
+        if spam["jitter"][key] < 0:
+            raise ConfigError(f"spam.jitter.{key}", "must be >= 0")
 
     workload = cfg["workload"]
     if workload["tps"] < 0:

@@ -41,7 +41,10 @@ class MinerContext:
     txs: list[Transaction]
     unref_prp_refs: tuple[bytes, ...]
     unref_tx_refs: tuple[bytes, ...]
-    votes: list[list[tuple[int, bytes]]]  # per chain: (level, proposer digest)
+    # per chain: (level, proposer digest); replace a chain's list to change
+    # it, never edit one in place, since the miner reuses the leaf bytes of
+    # a list object it has serialized before
+    votes: list[list[tuple[int, bytes]]]
 
 
 def honest_context(
@@ -54,14 +57,6 @@ def honest_context(
     arrival order; transaction content is a FIFO snapshot of released
     mempool entries.
     """
-    votes = []
-    for i in range(state.m):
-        chain_votes = []
-        for level in state.unvoted_levels(i):
-            choice = state.vote_choice(level)
-            if choice is not None:
-                chain_votes.append((level, choice))
-        votes.append(chain_votes)
     # the mining target itself is the one ancestor the pool can still hold;
     # reference lists must not name the block's own ancestors
     prp_refs = tuple(d for d in state.unref_prp_pool if d != state.prp_parent)
@@ -74,7 +69,7 @@ def honest_context(
         txs=state.eligible_transactions(now, tx_capacity),
         unref_prp_refs=prp_refs,
         unref_tx_refs=tuple(state.unref_tx_pool),
-        votes=votes,
+        votes=list(state.honest_votes()),
     )
 
 
@@ -90,27 +85,56 @@ def schedule_mining(
     return now + rng.exponential(1.0 / rate)
 
 
+class LastSuperblock:
+    """One miner's last superblock: its (parents, contents) Merkle trees
+    and its voter vote lists with their content leaves.
+
+    A vote list that is the same object as last time (vote lists are
+    rebuilt, never edited) keeps its leaf bytes, so only the chains whose
+    list changed are serialized again; the trees then rehash only the
+    leaves whose bytes differ.
+    """
+
+    def __init__(self) -> None:
+        self.parents = MerkleTree()
+        self.contents = MerkleTree()
+        self.votes: list[list[tuple[int, bytes]]] = []
+        self.vote_leaves: list[bytes] = []
+
+
+def _voter_leaf(votes: list[tuple[int, bytes]]) -> bytes:
+    return serialize_content(VoterContent(tuple(votes)))
+
+
 def assemble_superblock(
-    ctx: MinerContext, params: SortitionParams, trees: tuple[MerkleTree, MerkleTree] | None = None
+    ctx: MinerContext, params: SortitionParams, last: LastSuperblock | None = None
 ) -> tuple[list[bytes], list[bytes], bytes, bytes]:
     """Parent and content leaf lists in the committed index layout, with
     their roots.
 
     Index layout: voter chains at 0..m-1, transaction at m, proposer at
-    m+1.  The transaction slot's parent is the proposer parent.  The
-    roots come from ``trees`` (parents, contents), which then hold the
-    new lists; without them a fresh pair is built.
+    m+1.  The transaction slot's parent is the proposer parent.  ``last``
+    is the miner's previous superblock, which then holds this one;
+    without it everything is built afresh.
     """
-    parent_tree, content_tree = trees or (MerkleTree(), MerkleTree())
+    last = last or LastSuperblock()
     parents = list(ctx.vt_parent)
     parents.append(ctx.prp_parent)  # transaction slot
     parents.append(ctx.prp_parent)  # proposer slot
-    contents = [serialize_content(VoterContent(tuple(v))) for v in ctx.votes]
+    if len(last.votes) == len(ctx.votes):
+        contents = [
+            leaf if votes is old else _voter_leaf(votes)
+            for votes, old, leaf in zip(ctx.votes, last.votes, last.vote_leaves)
+        ]
+    else:
+        contents = [_voter_leaf(votes) for votes in ctx.votes]
+    last.votes = list(ctx.votes)
+    last.vote_leaves = list(contents)
     contents.append(serialize_content(TransactionContent(tuple(ctx.txs))))
     contents.append(
         serialize_content(ProposerContent(ctx.unref_prp_refs, ctx.unref_tx_refs))
     )
-    return parents, contents, parent_tree.update(parents), content_tree.update(contents)
+    return parents, contents, last.parents.update(parents), last.contents.update(contents)
 
 
 def finish_mining(
@@ -118,16 +142,16 @@ def finish_mining(
     params: SortitionParams,
     u: float,
     nonce: int,
-    trees: tuple[MerkleTree, MerkleTree] | None = None,
+    last: LastSuperblock | None = None,
 ) -> Block:
     """Sortition the finished superblock and prune to the winning sub-block.
 
-    ``trees`` is the miner's (parents, contents) tree pair, updated in
-    place so that only the sub-blocks changed since its last block are
+    ``last`` is the miner's previous superblock, updated in place so that
+    only the sub-blocks changed since its last block are serialized and
     rehashed; a caller that mines once may omit it.
     """
-    trees = trees or (MerkleTree(), MerkleTree())
-    parents, _, parent_root, content_root = assemble_superblock(ctx, params, trees)
+    last = last or LastSuperblock()
+    parents, _, parent_root, content_root = assemble_superblock(ctx, params, last)
     header = Header(parent_root, content_root, nonce)
     block_type = sortition(u, params)
     index = block_type.leaf_index(params.m)
@@ -140,14 +164,13 @@ def finish_mining(
     else:
         content = VoterContent(tuple(ctx.votes[block_type.chain_index]))
         level = 0
-    parent_tree, content_tree = trees
     return Block(
         header=header,
         block_type=block_type,
         parent_leaf=parents[index],
         content=content,
-        parent_proof=parent_tree.prove(index),
-        content_proof=content_tree.prove(index),
+        parent_proof=last.parents.prove(index),
+        content_proof=last.contents.prove(index),
         miner_id=ctx.miner_id,
         level=level,
     )

@@ -40,8 +40,7 @@ from .config import config_digest
 from .confirmation import ConfirmationEngine
 from .crypto import get_scheme
 from .ledger import Transaction, TxInput, TxOutput, Utxo, signed_transaction, total_value
-from .merkle import MerkleTree
-from .mining import finish_mining, honest_context, schedule_mining
+from .mining import LastSuperblock, finish_mining, honest_context, schedule_mining
 from .metrics import MetricsReport, latency_stats
 
 # event kinds
@@ -362,8 +361,7 @@ class Node(Peer):
         self.state = ChainState(sim.params.m, vote_rule=sim.cfg["prism"]["vote_rule"])
         self.jitter_rng = np.random.default_rng([sim.seed, 3, node_id])
         self.strategy = None  # set by the adversary module when applicable
-        # (parents, contents) of this miner's last superblock
-        self.trees = (MerkleTree(), MerkleTree())
+        self.last_superblock = LastSuperblock()
 
     # --- mining ----------------------------------------------------------------
 
@@ -381,7 +379,8 @@ class Node(Peer):
             return  # superseded by a superblock change
         ctx = self.build_context(now)
         block = finish_mining(
-            ctx, self.sim.params, float(self.rng.random()), int(self.rng.integers(2**62)), self.trees
+            ctx, self.sim.params, float(self.rng.random()), int(self.rng.integers(2**62)),
+            self.last_superblock,
         )
         self.sim.record_mined(block, now, self.id)
         if self.strategy is None:

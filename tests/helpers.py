@@ -8,7 +8,7 @@ from prismsim.blocks import SortitionParams, validate_block
 from prismsim.chain import ChainState
 from prismsim.crypto import get_scheme
 from prismsim.ledger import TxInput, TxOutput, Utxo, signed_transaction
-from prismsim.mining import MinerContext, finish_mining, honest_context
+from prismsim.mining import LastSuperblock, MinerContext, finish_mining, honest_context
 
 SCHEME = get_scheme("mock")
 KEYS = [SCHEME.keypair(bytes([i])) for i in range(8)]
@@ -29,13 +29,15 @@ def u_for(params: SortitionParams, kind: str, chain_index: int = 0) -> float:
 
 
 class Bench:
-    """One node's state plus a deterministic miner driving it."""
+    """One node's state plus a deterministic miner driving it; like a
+    simulated node, the miner keeps its last superblock between blocks."""
 
     def __init__(self, m=4, f_v=1.0, f_t=1.0, f_p=1.0, vote_rule="first_seen", seed=0):
         self.params = make_params(m, f_v, f_t, f_p)
         self.state = ChainState(m, vote_rule=vote_rule)
         self.rng = np.random.default_rng(seed)
         self.now = 0.0
+        self.last_superblock = LastSuperblock()
 
     def context(self, miner_id=0, tx_capacity=100) -> MinerContext:
         return honest_context(self.state, miner_id, 1.0, self.now, tx_capacity)
@@ -44,7 +46,11 @@ class Bench:
         """Mine a block of the given type from the current state."""
         ctx = self.context(miner_id)
         block = finish_mining(
-            ctx, self.params, u_for(self.params, kind, chain_index), int(self.rng.integers(2**62))
+            ctx,
+            self.params,
+            u_for(self.params, kind, chain_index),
+            int(self.rng.integers(2**62)),
+            self.last_superblock,
         )
         validate_block(block, self.params, SCHEME)
         if deliver:

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from prismsim.blocks import validate_block
+from prismsim.adversary import PrivateDoubleSpendStrategy
 from prismsim.config import resolve
 from prismsim.crypto import get_scheme
 from prismsim.netsim import Simulation, run
@@ -62,6 +63,57 @@ def test_adversarial_blocks_pass_validation():
     assert adversarial
     for block in adversarial:
         validate_block(block, sim.params, scheme)
+
+
+@pytest.mark.parametrize("strategy", ["balancing", "private_double_spend"])
+def test_every_mined_block_validates_under_a_strategy(strategy):
+    """Strategies replace vote lists in the miner's context; a leaf kept
+    from an earlier superblock for a replaced list would break the
+    content proof of some mined block, withheld ones included."""
+    result = run(attack_cfg(strategy, 0.3, target_level=2), seed=4)
+    sim = result.sim
+    scheme = get_scheme(sim.cfg["signature_scheme"])
+    assert sim.invalid_blocks == 0
+    for block in sim.blocks_by_digest.values():
+        validate_block(block, sim.params, scheme)
+    for node in sim.nodes:
+        node.state.check_invariants()
+
+
+def _private_votes_from_scratch(strategy, chain):
+    state = strategy.node.state
+    fork = strategy.forks[chain]
+    votes = []
+    for level in range(1, state.prp_parent_level + 1):
+        if level in fork.voted:
+            continue
+        if level == strategy.target_level:
+            if strategy.private_block is not None:
+                votes.append((level, strategy.private_block.digest))
+        else:
+            votes.append((level, state.first_seen_at(level)))
+    return votes
+
+
+def test_kept_private_votes_match_a_rebuild(monkeypatch):
+    """Every private superblock votes exactly what a from-scratch rebuild
+    of each fork's unvoted levels gives, through fork votes, new proposer
+    levels and the private block's arrival."""
+    build = PrivateDoubleSpendStrategy.build_context
+    seen = []
+
+    def checked(strategy, now):
+        ctx = build(strategy, now)
+        if ctx is not None:
+            fresh = [_private_votes_from_scratch(strategy, i) for i in range(len(ctx.votes))]
+            assert ctx.votes == fresh
+            seen.append((strategy.node.state.prp_parent_level, strategy.private_block is not None))
+        return ctx
+
+    monkeypatch.setattr(PrivateDoubleSpendStrategy, "build_context", checked)
+    run(attack_cfg("private_double_spend", 0.3, target_level=2), seed=4)
+    assert len({level for level, _ in seen}) > 3
+    assert {private for _, private in seen} == {False, True}
 
 
 def test_private_attack_releases_and_votes_private_candidate():

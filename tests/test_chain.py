@@ -1,9 +1,12 @@
 import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from helpers import KEYS, SCHEME, Bench, forge_proposer, genesis_set, make_params, spend, u_for
 
 from prismsim.blocks import Block, genesis_proposer_digest, genesis_voter_digest, validate_block
-from prismsim.chain import ChainState, TxRejected
+from prismsim.chain import FIRST_SEEN, MOST_VOTED, ChainState, TxRejected
 from prismsim.mining import MinerContext, finish_mining
 
 
@@ -529,3 +532,132 @@ def test_voter_block_on_a_parent_outside_its_chain_rejected():
     for block in waiting:
         assert state.receive_block(block) == ["duplicate"]
     assert state.voter_trees[0].entries == {} and state.voter_blocks_stored == 1
+
+
+# --- kept honest vote lists ------------------------------------------------------
+
+_OP = st.tuples(
+    st.integers(0, 1),  # which of two miners
+    st.sampled_from(["proposer", "proposer", "voter", "voter", "voter", "transaction"]),
+    st.integers(0, 2),  # voter chain
+    st.integers(0, 5),  # 0: both miners see every block so far first
+)
+
+
+def _two_miner_history(ops, vote_rule, mempools):
+    """Blocks of two miners that sync only now and then, so proposer
+    levels tie and voter chains fork and reorg."""
+    miners = [Bench(m=3, vote_rule=vote_rule, seed=seed) for seed in (1, 2)]
+    for miner, txs in zip(miners, mempools):
+        for tx in txs:
+            miner.state.receive_transaction(tx, 0.0, SCHEME)
+    history = []
+    for who, kind, chain, sync in ops:
+        if sync == 0:
+            for miner in miners:
+                for block in history:
+                    miner.state.receive_block(block)
+        history.append(miners[who].mine(kind, chain_index=chain, miner_id=who))
+    return history
+
+
+# no shrink phase: shrinking these histories ran into hypothesis's 5-minute
+# cap, and the failure message already names the index that drifted
+@settings(max_examples=120, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    vote_rule=st.sampled_from([FIRST_SEEN, MOST_VOTED]),
+    ops=st.lists(_OP, min_size=10, max_size=40),
+    data=st.data(),
+)
+def test_kept_indexes_match_a_rebuild_after_every_block(vote_rule, ops, data):
+    """Random delivery orders of a forked two-miner history: after every
+    block the tallies, pending levels, mempool index and the kept vote
+    lists equal a from-scratch rebuild."""
+    coins = list(genesis_set(6).values())
+    first = [spend(c, KEYS[1]) for c in coins]
+    second = [spend(c, KEYS[2]) for c in coins[:3]]  # each conflicts with one in `first`
+    history = _two_miner_history(ops, vote_rule, (first, second + first))
+    state = ChainState(3, vote_rule=vote_rule)
+    for tx in first:
+        state.receive_transaction(tx, 0.0, SCHEME)
+    for idx in data.draw(st.permutations(range(len(history)))):
+        state.receive_block(history[idx])
+        state.check_invariants()
+
+
+@pytest.mark.parametrize("vote_first", [False, True])
+def test_vote_list_follows_a_most_voted_flip(vote_first):
+    """Two proposer blocks at level 1 and one vote for the later one: the
+    choice flips when the tally changes, or when the voted block arrives
+    after its vote, and every chain still owing that level follows."""
+    a = Bench(m=3, vote_rule=MOST_VOTED, seed=1)
+    b = Bench(m=3, vote_rule=MOST_VOTED, seed=2)
+    first = a.mine("proposer")
+    second = b.mine("proposer")
+    vote = b.mine("voter", chain_index=0)  # votes for `second`
+    for block in [vote, second] if vote_first else [second, vote]:
+        assert a.context().votes[1] == [(1, first.digest)]  # tie: arrival order
+        a.state.receive_block(block)
+    assert a.context().votes == [[], [(1, second.digest)], [(1, second.digest)]]
+    a.state.check_invariants()
+
+
+def test_vote_list_follows_a_reorg_that_unvotes_a_level():
+    main = Bench(m=2, seed=1)
+    fork = Bench(m=2, seed=2)
+    p1 = main.mine("proposer")
+    fork.state.receive_block(p1)
+    p2 = main.mine("proposer")  # the fork's miner never sees level 2
+    main.mine("voter", chain_index=0)  # votes levels 1 and 2
+    assert main.context().votes[0] == []
+    for _ in range(2):  # a longer branch that votes level 1 only
+        main.state.receive_block(fork.mine("voter", chain_index=0))
+    assert main.context().votes[0] == [(2, p2.digest)]
+    main.state.check_invariants()
+
+
+def test_unchanged_vote_lists_keep_their_identity():
+    bench = Bench(m=3)
+    bench.mine("proposer")
+    before = list(bench.state.honest_votes())
+    bench.mine("voter", chain_index=1)
+    bench.mine("transaction")
+    after = bench.state.honest_votes()
+    assert after[0] is before[0] and after[2] is before[2]
+    assert after[1] is not before[1] and after[1] == []
+
+
+def _drop_tally(state):
+    del state.votes_by_level[1]
+
+
+def _drop_pending(state):
+    state.pending_vote_levels[2].discard(1)
+
+
+def _drop_mempool_input(state):
+    state.mempool_inputs.popitem()
+
+
+def _stale_vote_list(state):
+    state.honest_votes()[2] = []
+
+
+@pytest.mark.parametrize(
+    "drift, index",
+    [
+        (_drop_tally, "votes_by_level"),
+        (_drop_pending, "pending_vote_levels"),
+        (_drop_mempool_input, "mempool_inputs"),
+        (_stale_vote_list, "honest vote list"),
+    ],
+)
+def test_check_invariants_reports_a_drifted_index(drift, index):
+    bench = Bench(m=3)
+    bench.state.receive_transaction(spend(next(iter(genesis_set(1).values())), KEYS[1]), 0.0, SCHEME)
+    bench.mine("proposer")
+    bench.mine("voter", chain_index=0)
+    bench.state.check_invariants()
+    drift(bench.state)
+    with pytest.raises(AssertionError, match=index):
+        bench.state.check_invariants()

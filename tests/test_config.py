@@ -41,3 +41,22 @@ def test_defaults_profiles_and_edge_values_still_resolve():
         "adversary": {"target_level": 1},
     }
     assert resolve(edge)["workload"]["genesis_coins"] == 1
+
+
+@pytest.mark.parametrize(
+    "overlay, field",
+    [
+        # at exponential kind, Node.draw_jitter raised ValueError: scale < 0
+        ({"spam": {"jitter": {"kind": "exponential", "mean_s": -1}}}, "spam.jitter.mean_s"),
+        # at uniform kind, Node.draw_jitter raised ValueError: high - low < 0
+        ({"spam": {"jitter": {"kind": "uniform", "max_s": -1}}}, "spam.jitter.max_s"),
+        # sliced the last 3 honest nodes off the victim list
+        ({"spam": {"enabled": True, "victims": -3}}, "spam.victims"),
+        # put the release deadline before the start of the run
+        ({"adversary": {"release_timeout_fraction": -0.5}}, "adversary.release_timeout_fraction"),
+    ],
+)
+def test_values_that_crashed_or_bent_a_run_rejected_by_name(overlay, field):
+    with pytest.raises(ConfigError) as err:
+        resolve(overlay)
+    assert err.value.field == field

@@ -4,7 +4,8 @@ import pytest
 from helpers import KEYS, SCHEME, Bench, genesis_set, make_params, spend, u_for
 
 from prismsim.blocks import validate_block
-from prismsim.mining import assemble_superblock, finish_mining, schedule_mining
+from prismsim import mining
+from prismsim.mining import LastSuperblock, assemble_superblock, finish_mining, schedule_mining
 from prismsim.merkle import merkle_root
 
 
@@ -151,3 +152,39 @@ def test_tx_capacity_respected():
         bench.state.receive_transaction(spend(coin, KEYS[(i + 1) % 8]), 0.0, SCHEME)
     ctx = bench.context(tx_capacity=10)
     assert len(ctx.txs) == 10
+
+
+def test_superblock_serializes_only_replaced_vote_lists(monkeypatch):
+    bench = Bench(m=4)
+    bench.mine("proposer")
+    last = LastSuperblock()
+    ctx = bench.context()
+    assemble_superblock(ctx, bench.params, last)
+    serialized = []
+    real = mining.serialize_content
+    monkeypatch.setattr(mining, "serialize_content", lambda c: serialized.append(c) or real(c))
+    ctx.votes[2] = list(ctx.votes[2])  # same votes, new object
+    ctx.votes[3] = []
+    _, contents, _, content_root = assemble_superblock(ctx, bench.params, last)
+    assert [type(c).__name__ for c in serialized] == [
+        "VoterContent", "VoterContent", "TransactionContent", "ProposerContent"
+    ]
+    _, fresh, _, fresh_root = assemble_superblock(ctx, bench.params)
+    assert contents == fresh and content_root == fresh_root
+
+
+def test_blocks_mined_with_a_kept_superblock_validate():
+    """One miner keeps its last superblock over random contexts, some
+    with vote lists replaced the way adversaries do."""
+    rng = np.random.default_rng(23)
+    bench = Bench(m=3, seed=29)
+    last = LastSuperblock()
+    for _ in range(300):
+        ctx = bench.context()
+        if rng.random() < 0.3:
+            chain = int(rng.integers(3))
+            ctx.votes[chain] = ctx.votes[chain][: int(rng.integers(len(ctx.votes[chain]) + 1))]
+        block = finish_mining(ctx, bench.params, float(rng.random()), int(rng.integers(2**62)), last)
+        validate_block(block, bench.params, SCHEME)
+        if rng.random() < 0.7:
+            bench.state.receive_block(block)
