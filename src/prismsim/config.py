@@ -143,8 +143,12 @@ def validate(cfg: dict) -> None:
         raise ConfigError("topology.nodes", "must be >= 1")
     if topo["kind"] == "regular":
         n, d = topo["nodes"], topo["degree"]
-        if d >= n or (n * d) % 2 != 0:
+        if d < 0 or d >= n or (n * d) % 2 != 0:
             raise ConfigError("topology.degree", f"no {d}-regular graph on {n} nodes")
+        # build_topology redraws until the graph is connected, which a
+        # 0- or 1-regular graph never is beyond two nodes
+        if n > 1 and d < min(2, n - 1):
+            raise ConfigError("topology.degree", f"no connected {d}-regular graph on {n} nodes")
     if topo["delay_s"] < 0:
         raise ConfigError("topology.delay_s", "must be >= 0")
     if topo["bandwidth_bytes_per_s"] <= 0:

@@ -54,9 +54,15 @@ class Transaction:
     input, each signing the body digest.  The transaction id is the
     SHA-256 of the body (inputs and outputs, signatures excluded), so two
     submissions of the same payment share one id.
+
+    A transaction is not changed after it is constructed.  Its signature
+    verdict is therefore computed once per object and scheme and shared
+    by every node and ledger pass that holds the object; a copy with the
+    same body but other signatures is another object with its own
+    verdict.
     """
 
-    __slots__ = ("inputs", "outputs", "signatures", "digest", "_body")
+    __slots__ = ("inputs", "outputs", "signatures", "digest", "_body", "_verdict")
 
     def __init__(
         self,
@@ -73,6 +79,7 @@ class Transaction:
         self.signatures = tuple(signatures)
         self._body = self._serialize_body()
         self.digest = sha256(self._body)
+        self._verdict: tuple[SignatureScheme, bool] | None = None
 
     def _serialize_body(self) -> bytes:
         parts = [u32(len(self.inputs))]
@@ -110,13 +117,18 @@ class Transaction:
         """One signature per input, each verifying over the body digest.
 
         Ownership against the UTXO set is checked at execution time, not
-        here.
+        here.  The verdict is kept with the scheme object it was computed
+        under and recomputed only for another scheme object.  Concurrent
+        callers (:func:`sanitize_parallel` workers) at worst compute the
+        same verdict twice, so the slot needs no lock.
         """
-        if len(self.signatures) != len(self.inputs):
-            return False
-        return all(
-            scheme.verify(public, self.digest, sig) for public, sig in self.signatures
-        )
+        verdict = self._verdict
+        if verdict is None or verdict[0] is not scheme:
+            ok = len(self.signatures) == len(self.inputs) and all(
+                scheme.verify(public, self.digest, sig) for public, sig in self.signatures
+            )
+            verdict = self._verdict = (scheme, ok)
+        return verdict[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Transaction({self.digest.hex()[:12]}, in={len(self.inputs)}, out={len(self.outputs)})"
@@ -162,7 +174,8 @@ def execute(tx: Transaction, utxo_set: dict[CoinId, Utxo], scheme: SignatureSche
 
     Applied iff every input exists, the i-th signature's key matches the
     i-th input's owner and verifies, and total output value does not
-    exceed total input value.
+    exceed total input value.  Verification reads the transaction's kept
+    verdict (:meth:`Transaction.signatures_well_formed`).
     """
     coins = []
     for txin in tx.inputs:
@@ -172,9 +185,11 @@ def execute(tx: Transaction, utxo_set: dict[CoinId, Utxo], scheme: SignatureSche
         coins.append(utxo)
     if len(tx.signatures) != len(tx.inputs):
         return Rejected("BadSignature")
-    for utxo, (public, sig) in zip(coins, tx.signatures):
-        if public != utxo.owner or not scheme.verify(public, tx.digest, sig):
+    for utxo, (public, _) in zip(coins, tx.signatures):
+        if public != utxo.owner:
             return Rejected("BadSignature")
+    if not tx.signatures_well_formed(scheme):
+        return Rejected("BadSignature")
     total_in = sum(c.value for c in coins)
     total_out = sum(o.value for o in tx.outputs)
     if total_out > total_in:

@@ -1,6 +1,12 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from prismsim.config import DEFAULTS, PROFILES, ConfigError, config_digest, resolve
+from prismsim.netsim import run
 
 
 @pytest.mark.parametrize(
@@ -60,3 +66,107 @@ def test_values_that_crashed_or_bent_a_run_rejected_by_name(overlay, field):
     with pytest.raises(ConfigError) as err:
         resolve(overlay)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [
+        # build_topology redrew a disconnected graph forever
+        {"nodes": 4, "degree": 0},
+        {"nodes": 4, "degree": 1},
+        {"nodes": 6, "degree": 1},
+        {"nodes": 2, "degree": 0},
+        # networkx raised NetworkXError
+        {"nodes": 4, "degree": -2},
+        # ran on the one-node graph, but no graph has a negative degree
+        {"nodes": 1, "degree": -2},
+    ],
+)
+def test_regular_degree_without_a_connected_graph_rejected(topology):
+    with pytest.raises(ConfigError) as err:
+        resolve({"topology": {"kind": "regular", **topology}})
+    assert err.value.field == "topology.degree"
+
+
+def test_smallest_connected_regular_graphs_still_run():
+    for topology in ({"nodes": 2, "degree": 1}, {"nodes": 1, "degree": 0}, {"nodes": 5, "degree": 2}):
+        cfg = resolve({"duration": 2.0, "topology": {"kind": "regular", **topology}})
+        assert run(cfg, seed=0).report.conservation_ok
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the main thread once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"run did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Small plausible ranges.  Degrees and the edges of beta include values
+# that validation must reject; the rest mostly run.  Node and chain counts
+# are always set, so that no example falls back to the 20-node, m = 100
+# defaults.
+OVERLAYS = st.fixed_dictionaries(
+    {
+        "protocol": st.sampled_from(["prism", "longest_chain"]),
+        "topology": st.fixed_dictionaries(
+            {"nodes": st.integers(1, 6), "degree": st.integers(-1, 5)},
+            optional={
+                "kind": st.sampled_from(["regular", "ring", "complete"]),
+                "delay_s": st.floats(0.0, 0.5),
+                "bandwidth_bytes_per_s": st.floats(1e3, 2e6),
+            },
+        ),
+        "workload": st.fixed_dictionaries(
+            {},
+            optional={
+                "tps": st.floats(0.0, 30.0),
+                "wallets": st.integers(1, 20),
+                "coin_value": st.integers(1, 20),
+                "genesis_coins": st.none() | st.integers(1, 100),
+            },
+        ),
+        "prism": st.fixed_dictionaries(
+            {"m": st.integers(1, 8)},
+            optional={
+                "rate_voter_per_chain": st.floats(0.01, 2.0),
+                "rate_tx": st.floats(0.01, 2.0),
+                "rate_prop": st.floats(0.01, 2.0),
+                "tx_block_capacity": st.integers(1, 50),
+                "beta": st.floats(0.0, 0.55),
+                "epsilon": st.floats(1e-4, 0.5),
+            },
+        ),
+        "longest_chain": st.fixed_dictionaries(
+            {},
+            optional={
+                "rate": st.floats(0.01, 2.0),
+                "block_capacity": st.integers(1, 50),
+                "confirm_depth": st.integers(1, 6),
+            },
+        ),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlay=OVERLAYS, seed=st.integers(0, 3))
+def test_fuzzed_config_rejected_by_name_or_runs_conserving(overlay, seed):
+    try:
+        cfg = resolve({**overlay, "duration": 3.0})
+    except ConfigError as err:
+        assert err.field
+        event(f"rejected by {err.field}")
+        return
+    event(f"ran {cfg['protocol']}")
+    with time_limit(10):
+        report = run(cfg, seed).report
+    assert report.conservation_ok

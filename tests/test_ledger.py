@@ -3,7 +3,13 @@ import time
 import numpy as np
 import pytest
 
-from prismsim.crypto import get_scheme
+from helpers import forge_tx_block, make_params
+
+from prismsim.baseline import LCState
+from prismsim.blocks import BadSignature, validate_block
+from prismsim.chain import ChainState, TxRejected
+from prismsim.config import resolve
+from prismsim.crypto import Ed25519Scheme, get_scheme
 from prismsim.ledger import (
     APPLIED,
     Rejected,
@@ -20,6 +26,7 @@ from prismsim.ledger import (
     signed_transaction,
     total_value,
 )
+from prismsim.netsim import run
 
 SCHEME = get_scheme("mock")
 KEYS = [SCHEME.keypair(bytes([i])) for i in range(8)]
@@ -112,8 +119,13 @@ def test_wrong_owner_signature_rejected():
     tx = signed_transaction(
         SCHEME, [TxInput(*coin.id)], [TxOutput(coin.value, KEYS[1].public)], [wrong]
     )
+    # the signature verifies and that verdict is kept; ownership is still
+    # checked against the coin
+    assert tx.signatures_well_formed(SCHEME)
+    snapshot = dict(utxo_set)
     result = execute(tx, utxo_set, SCHEME)
     assert isinstance(result, Rejected) and result.reason == "BadSignature"
+    assert utxo_set == snapshot
 
 
 def test_sanitize_all_valid_list_passes_through():
@@ -249,3 +261,119 @@ def test_transaction_needs_inputs_and_outputs():
         Transaction([], [TxOutput(1, KEYS[0].public)])
     with pytest.raises(ValueError):
         Transaction([TxInput(bytes(32), 0)], [])
+
+
+# --- one signature verdict per transaction object ------------------------------
+
+
+def count_signature_calls(monkeypatch, scheme_cls):
+    """Record (message, signature) of every sign and verify call of a scheme class."""
+    signed, verified = [], []
+    sign, verify = scheme_cls.sign, scheme_cls.verify
+
+    def counting_sign(self, secret, message):
+        sig = sign(self, secret, message)
+        signed.append((message, sig))
+        return sig
+
+    def counting_verify(self, public, message, signature):
+        verified.append((message, signature))
+        return verify(self, public, message, signature)
+
+    monkeypatch.setattr(scheme_cls, "sign", counting_sign)
+    monkeypatch.setattr(scheme_cls, "verify", counting_verify)
+    return signed, verified
+
+
+@pytest.mark.parametrize("protocol", ["longest_chain", "prism"])
+def test_run_verifies_each_created_signature_once(monkeypatch, protocol):
+    signed, verified = count_signature_calls(monkeypatch, Ed25519Scheme)
+    cfg = resolve(
+        {
+            "protocol": protocol,
+            "signature_scheme": "ed25519",
+            "duration": 8.0,
+            "topology": {"nodes": 4, "degree": 2},
+            "prism": {"m": 4, "rate_voter_per_chain": 1.0},
+            "longest_chain": {"rate": 1.0, "block_capacity": 10, "confirm_depth": 2},
+            "workload": {"tps": 10.0},
+        }
+    )
+    assert run(cfg, seed=0).report.conservation_ok
+    # every node, mempool, block validation and ledger pass holds the same
+    # transaction objects, so the whole run verifies each signature once
+    assert len(signed) > 40
+    assert sorted(verified) == sorted(signed)
+
+
+def forged_copy(tx):
+    """Same body, so the same digest, but a signature that does not verify."""
+    return Transaction(tx.inputs, tx.outputs, ((tx.signatures[0][0], b"\0" * 32),))
+
+
+def entry_point_verdicts(tx, utxo_set):
+    """Accept/reject of ``tx`` at each entry point that checks signatures."""
+    params = make_params(m=2)
+    try:
+        validate_block(forge_tx_block(params, [tx]), params, SCHEME)
+        block_ok = True
+    except BadSignature:
+        block_ok = False
+    received = ChainState(2).receive_transaction(tx, 0.0, SCHEME)
+    executed = execute(tx, dict(utxo_set), SCHEME)
+    return {
+        "add_transaction": LCState(utxo_set, SCHEME).add_transaction(tx),
+        "receive_transaction": not isinstance(received, TxRejected),
+        "validate_block": block_ok,
+        "execute": executed is APPLIED,
+        "reason": getattr(executed, "reason", None) or getattr(received, "reason", None),
+    }
+
+
+@pytest.mark.parametrize("honest_first", [True, False])
+def test_forged_copy_checked_on_its_own(honest_first):
+    utxo_set = genesis_set(1)
+    honest = spend(next(iter(utxo_set.values())), KEYS[1])
+    forged = forged_copy(honest)
+    assert forged.digest == honest.digest
+    accepted = dict.fromkeys(["add_transaction", "receive_transaction", "validate_block", "execute"], True)
+    expected = {
+        honest: {**accepted, "reason": None},
+        forged: {**dict.fromkeys(accepted, False), "reason": "BadSignature"},
+    }
+    order = [honest, forged] if honest_first else [forged, honest]
+    for tx in order:
+        assert entry_point_verdicts(tx, utxo_set) == expected[tx]
+    # the verdicts are kept: asking again gives the same answers
+    for tx in order:
+        assert entry_point_verdicts(tx, utxo_set) == expected[tx]
+
+
+def test_rejection_order_with_a_cached_bad_verdict():
+    utxo_set = genesis_set(1)
+    coin = next(iter(utxo_set.values()))
+    owner = next(k for k in KEYS if k.public == coin.owner)
+    overspend = signed_transaction(SCHEME, [TxInput(*coin.id)], [TxOutput(coin.value + 1, owner.public)], [owner])
+    forged = forged_copy(overspend)
+    assert not forged.signatures_well_formed(SCHEME)
+    # a bad signature outranks an overspend, a missing input outranks both
+    assert execute(forged, dict(utxo_set), SCHEME) == Rejected("BadSignature")
+    assert execute(overspend, dict(utxo_set), SCHEME) == Rejected("ValueOverspend")
+    assert execute(forged, {}, SCHEME) == Rejected("MissingInput")
+
+
+def test_verdict_recomputed_under_another_scheme(monkeypatch):
+    ed25519 = get_scheme("ed25519")
+    _, verified = count_signature_calls(monkeypatch, Ed25519Scheme)
+    mock_signed = spend(next(iter(genesis_set(1).values())), KEYS[1])
+    assert mock_signed.signatures_well_formed(SCHEME)
+    assert not mock_signed.signatures_well_formed(ed25519)
+    assert not mock_signed.signatures_well_formed(ed25519)
+    assert len(verified) == 1  # computed once under ed25519, then kept
+    assert mock_signed.signatures_well_formed(SCHEME)
+
+    kp = ed25519.keypair(b"real")
+    real = signed_transaction(ed25519, [TxInput(bytes(32), 0)], [TxOutput(1, kp.public)], [kp])
+    assert real.signatures_well_formed(ed25519)
+    assert not real.signatures_well_formed(SCHEME)
+    assert real.signatures_well_formed(ed25519)
