@@ -61,22 +61,25 @@ class BalancingStrategy(Strategy):
         if not candidates:
             return None
         counts = state.votes_by_level.get(level, {})
-        ranked = sorted(
-            candidates, key=lambda d: (-counts.get(d, 0), candidates.index(d))
-        )
+        # stable: ties keep arrival order
+        ranked = sorted(candidates, key=lambda d: -counts.get(d, 0))
         return ranked[1] if len(ranked) >= 2 else ranked[0]
 
     def build_context(self, now: float) -> MinerContext:
         node = self.node
         state = node.state
         ctx = honest_context(node.state, node.id, node.hash_power, now, self.sim.tx_capacity)
-        for i in range(state.m):
+        runner_up: dict[int, bytes | None] = {}
+        for i, honest in enumerate(ctx.votes):
+            # the honest list holds each unvoted level once, in order
             votes = []
-            for level in state.unvoted_levels(i):
-                choice = self._runner_up(level)
-                if choice is not None:
-                    votes.append((level, choice))
-            ctx.votes[i] = votes
+            for level, _ in honest:
+                if level not in runner_up:
+                    runner_up[level] = self._runner_up(level)
+                if runner_up[level] is not None:
+                    votes.append((level, runner_up[level]))
+            if votes != honest:
+                ctx.replace_votes(i, votes)
         if self.mine_competitors:
             top = state.prp_parent_level
             if top >= 1 and len(state.prp_by_level.get(top, ())) == 1:
@@ -194,8 +197,9 @@ class PrivateDoubleSpendStrategy(Strategy):
         node = self.node
         state = node.state
         ctx = honest_context(state, node.id, node.hash_power, now, self.sim.tx_capacity)
-        ctx.vt_parent = [self._fork(i).tip for i in range(state.m)]
-        ctx.votes = [self._private_votes(i) for i in range(state.m)]
+        for i in range(state.m):
+            ctx.replace_parent(i, self._fork(i).tip)
+            ctx.replace_votes(i, self._private_votes(i))
         if self.private_block is None:
             public = state.prp_by_level.get(self.target_level)
             if public:

@@ -198,11 +198,18 @@ class ChainState:
         # main-chain vote tallies across all trees: level -> digest -> count
         self.votes_by_level: dict[int, dict[bytes, int]] = {}
         # the honest miner's vote list per chain, (level, vote_choice(level))
-        # for its pending levels in order; a stale list is rebuilt, never
-        # edited, so an unchanged list keeps its identity between blocks
+        # for its pending levels in order; a list is replaced, never edited,
+        # so an unchanged list keeps its identity between blocks.  A new
+        # top level is appended at once; a stale list is rebuilt on demand
         self.vote_choices: dict[int, bytes] = {}
         self.vote_lists: list[list[tuple[int, bytes]]] = [[] for _ in range(m)]
         self.stale_vote_lists: set[int] = set()
+        self.voter_tips: list[bytes] = [t.genesis for t in self.voter_trees]
+        # voter slots by their last change of tip or vote list, oldest
+        # first, each with the epoch of that change.  Never drained: every
+        # reader remembers the epoch it has seen (``slots_changed_since``)
+        self.slot_epoch = 0
+        self.slot_changes: dict[int, int] = {}
 
         self.orphans: dict[bytes, list[Block]] = {}
         self.orphan_digests: set[bytes] = set()
@@ -389,6 +396,7 @@ class ChainState:
         changes = [f"voter_stored:{index}"]
         if tip_changed:
             changes.append(f"voter_tip:{index}")
+            self.voter_tips[index] = block.digest
             for level, digest in removed:
                 counts = self.votes_by_level.get(level)
                 if counts is not None:
@@ -414,6 +422,7 @@ class ChainState:
                 for level, _ in added:
                     self.pending_vote_levels[index].discard(level)
             self.stale_vote_lists.add(index)
+            self._slots_changed((index,))
         return changes
 
     def _insert_proposer(self, block: Block) -> list[str]:
@@ -443,10 +452,15 @@ class ChainState:
         if new_level:
             changes.append(f"new_proposer_level:{block.level}")
             self.vote_choices[block.level] = block.digest
-            for i in range(self.m):
-                if block.level not in self.voter_trees[i].main_votes:
-                    self.pending_vote_levels[i].add(block.level)
-                    self.stale_vote_lists.add(i)
+            # its parent is stored one level down, so the new level is the
+            # new top: a current list gains it as its last vote
+            vote = [(block.level, block.digest)]
+            owing = [i for i, t in enumerate(self.voter_trees) if block.level not in t.main_votes]
+            for i in owing:
+                self.pending_vote_levels[i].add(block.level)
+                if i not in self.stale_vote_lists:
+                    self.vote_lists[i] = self.vote_lists[i] + vote
+            self._slots_changed(owing)
         elif self.vote_rule == MOST_VOTED:
             self._recheck_choice(block.level)
         if block.level > self.prp_parent_level:
@@ -461,25 +475,34 @@ class ChainState:
         choice = self.vote_choice(level)
         if choice != self.vote_choices.get(level):
             self.vote_choices[level] = choice
-            for i, pending in enumerate(self.pending_vote_levels):
-                if level in pending:
-                    self.stale_vote_lists.add(i)
+            owing = [i for i, pending in enumerate(self.pending_vote_levels) if level in pending]
+            self.stale_vote_lists.update(owing)
+            self._slots_changed(owing)
+
+    def _slots_changed(self, indexes) -> None:
+        """Move ``indexes`` to the end of the slot-change log under one
+        new epoch."""
+        self.slot_epoch += 1
+        log = self.slot_changes
+        for index in indexes:
+            log.pop(index, None)
+            log[index] = self.slot_epoch
+
+    def slots_changed_since(self, epoch: int) -> list[int]:
+        """Voter slots whose tip or honest vote list changed after
+        ``epoch`` (a past ``slot_epoch``), newest change first."""
+        changed = []
+        for index, at in reversed(self.slot_changes.items()):
+            if at <= epoch:
+                break
+            changed.append(index)
+        return changed
 
     # --- queries ---------------------------------------------------------------
 
     def longest_chain(self, tree_index: int) -> list[Block]:
         tree = self.voter_trees[tree_index]
         return tree.walk_from_genesis(tree.tip)
-
-    def proposer_main_chain(self) -> list[Block]:
-        chain = []
-        digest = self.prp_parent
-        while digest != self.proposer_genesis:
-            entry = self.prp_entries[digest]
-            chain.append(entry.block)
-            digest = entry.parent
-        chain.reverse()
-        return chain
 
     def get_vote_and_depth(self, chain_index: int, level: int) -> tuple[bytes, int] | None:
         return self.voter_trees[chain_index].vote_and_depth(level)
@@ -509,16 +532,13 @@ class ChainState:
         counts = self.votes_by_level.get(level, {})
         return max(level_list, key=lambda d: (counts.get(d, 0), -level_list.index(d)))
 
-    def unvoted_levels(self, chain_index: int) -> list[int]:
-        return sorted(self.pending_vote_levels[chain_index])
-
     def honest_votes(self) -> list[list[tuple[int, bytes]]]:
         """Each chain's honest vote list: one (level, vote choice) per
         unvoted level, in level order.
 
-        Only the lists made stale since the last call are rebuilt; the
-        others are the same objects as before.  Callers must not edit the
-        lists.
+        Only the lists made stale since the last call are rebuilt; a list
+        that has not changed since the last call is the same object as
+        before.  Callers must not edit the lists.
         """
         choices = self.vote_choices
         for i in self.stale_vote_lists:
@@ -533,8 +553,9 @@ class ChainState:
         with the kept ones; raise AssertionError on the first mismatch.
 
         Covers the vote tallies (from every tree's main-chain votes), the
-        unvoted-level sets, the mempool input index and the honest vote
-        lists.  Costs a pass over the whole state: for tests, not runs.
+        unvoted-level sets, the mempool input index, the voter tips and
+        the honest vote lists.  Costs a pass over the whole state: for
+        tests, not runs.
         """
         tallies: dict[int, dict[bytes, int]] = {}
         for tree in self.voter_trees:
@@ -556,10 +577,11 @@ class ChainState:
             for coin in entry.tx.input_ids()
         }
         _expect_equal("mempool_inputs", self.mempool_inputs, inputs)
+        _expect_equal("voter_tips", self.voter_tips, [t.tip for t in self.voter_trees])
         votes = self.honest_votes()
         for i in range(self.m):
             fresh = []
-            for level in self.unvoted_levels(i):
+            for level in sorted(self.pending_vote_levels[i]):
                 choice = self.vote_choice(level)
                 if choice is not None:
                     fresh.append((level, choice))

@@ -8,6 +8,7 @@ the protocol layer needs at desk scale.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -66,6 +67,13 @@ class MockScheme(SignatureScheme):
         return signature == sha256(public + message)
 
 
+@functools.lru_cache(maxsize=1024)
+def _ed25519_key(secret: bytes) -> Ed25519PrivateKey:
+    """The key object for ``secret``, built once per wallet rather than
+    once per signature."""
+    return Ed25519PrivateKey.from_private_bytes(secret)
+
+
 class Ed25519Scheme(SignatureScheme):
     name = "ed25519"
 
@@ -76,7 +84,7 @@ class Ed25519Scheme(SignatureScheme):
         return KeyPair(secret=secret, public=public)
 
     def sign(self, secret: bytes, message: bytes) -> bytes:
-        return Ed25519PrivateKey.from_private_bytes(secret).sign(message)
+        return _ed25519_key(secret).sign(message)
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         try:

@@ -151,9 +151,11 @@ def signed_transaction(
     keys: Sequence[KeyPair],
 ) -> Transaction:
     """Build a transaction with one signature per input, keys in input order."""
-    unsigned = Transaction(inputs, outputs)
-    sigs = [(kp.public, scheme.sign(kp.secret, unsigned.digest)) for kp in keys]
-    return Transaction(inputs, outputs, sigs)
+    tx = Transaction(inputs, outputs)
+    # signed before the object is shared, so the body is serialized and
+    # hashed once
+    tx.signatures = tuple((kp.public, scheme.sign(kp.secret, tx.digest)) for kp in keys)
+    return tx
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ a proof for any of ``n`` leaves carries exactly ``ceil(log2(n))`` siblings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .crypto import sha256
 
@@ -22,11 +22,10 @@ class MerkleTree:
     """Every level of one Merkle tree, from the leaf hashes to the root.
 
     ``update`` commits to a new leaf list.  With the leaf count unchanged
-    it rehashes only the leaves whose bytes differ from the previous list,
-    and the nodes on their paths; a new count rebuilds every level.  The
-    root and all proofs are read from the stored levels.  A level of odd
-    width keeps no copy of its last node: its parent pairs that node with
-    itself.
+    it rehashes only the dirty leaves and the nodes on their paths; a new
+    count rebuilds every level.  The root and all proofs are read from the
+    stored levels.  A level of odd width keeps no copy of its last node:
+    its parent pairs that node with itself.
     """
 
     def __init__(self) -> None:
@@ -37,28 +36,42 @@ class MerkleTree:
     def root(self) -> bytes:
         return self.levels[-1][0]
 
-    def update(self, leaves: Sequence[bytes]) -> bytes:
-        """Commit to ``leaves`` and return the new root."""
+    def update(self, leaves: Sequence[bytes], dirty: Collection[int] | None = None) -> bytes:
+        """Commit to ``leaves`` and return the new root.
+
+        ``dirty`` holds the distinct indexes whose bytes may differ from
+        the committed list; the caller may then pass the tree's own
+        ``leaves`` list, edited in place.  Without it the two lists are
+        compared leaf by leaf.
+        """
         if not leaves:
             raise ValueError("merkle tree requires at least one leaf")
-        if len(leaves) == len(self.leaves):
+        if len(leaves) != len(self.leaves):
+            self.leaves = list(leaves)
+            hashes = list(map(sha256, self.leaves))
+            self.levels = [hashes]
+            while len(hashes) > 1:
+                hashes = _pair_up(hashes)
+                self.levels.append(hashes)
+            return self.root
+        if dirty is None:
             dirty = [i for i, (old, new) in enumerate(zip(self.leaves, leaves)) if old != new]
-        else:
-            width = len(leaves)
-            self.levels = [[b""] * width]
-            while width > 1:
-                width = (width + 1) // 2
-                self.levels.append([b""] * width)
-            dirty = range(len(leaves))
-        self.leaves = list(leaves)
+        if leaves is not self.leaves:
+            self.leaves = list(leaves)
         hashes = self.levels[0]
         for i in dirty:
             hashes[i] = sha256(leaves[i])
         for below, level in zip(self.levels, self.levels[1:]):
-            last = len(below) - 1
             dirty = {i // 2 for i in dirty}
+            if not dirty:
+                break
+            if len(dirty) == len(level):
+                level[:] = _pair_up(below)
+                continue
+            last = len(below) - 1
             for j in dirty:
-                level[j] = sha256(below[2 * j] + below[min(2 * j + 1, last)])
+                k = 2 * j
+                level[j] = sha256(below[k] + below[k + 1 if k < last else k])
         return self.root
 
     def prove(self, index: int) -> MerkleProof:
@@ -71,6 +84,14 @@ class MerkleTree:
             siblings.append(level[min(pos ^ 1, len(level) - 1)])
             pos //= 2
         return MerkleProof(leaf_index=index, siblings=tuple(siblings))
+
+
+def _pair_up(below: list[bytes]) -> list[bytes]:
+    """The whole level above ``below``."""
+    above = [sha256(left + right) for left, right in zip(below[::2], below[1::2])]
+    if len(below) % 2:
+        above.append(sha256(below[-1] + below[-1]))
+    return above
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:

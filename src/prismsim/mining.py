@@ -8,7 +8,7 @@ pruned to the sub-block the sortition draw selected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,11 +27,21 @@ from .blocks import (
 from .chain import ChainState
 from .ledger import Transaction
 from .merkle import MerkleTree
+from .serialize import u32, u64
 
 
 @dataclass
 class MinerContext:
-    """Materialized superblock inputs for one mining completion."""
+    """Materialized superblock inputs for one mining completion.
+
+    An honest snapshot names its ``source`` state and that state's
+    ``slot_epoch``, so a miner's kept superblock revisits only the voter
+    slots the state reports changed since its last block.  A strategy
+    changes a voter slot through ``replace_parent`` and ``replace_votes``,
+    which name the slot for the miner; it never assigns into ``vt_parent``
+    or ``votes`` directly, and never edits a vote list in place.  A
+    context without a source is assembled afresh.
+    """
 
     miner_id: int
     hash_power: float
@@ -41,10 +51,19 @@ class MinerContext:
     txs: list[Transaction]
     unref_prp_refs: tuple[bytes, ...]
     unref_tx_refs: tuple[bytes, ...]
-    # per chain: (level, proposer digest); replace a chain's list to change
-    # it, never edit one in place, since the miner reuses the leaf bytes of
-    # a list object it has serialized before
+    # per chain: (level, proposer digest)
     votes: list[list[tuple[int, bytes]]]
+    source: ChainState | None = None
+    epoch: int = 0
+    replaced: set[int] = field(default_factory=set)  # voter slots a strategy replaced
+
+    def replace_parent(self, chain: int, parent: bytes) -> None:
+        self.vt_parent[chain] = parent
+        self.replaced.add(chain)
+
+    def replace_votes(self, chain: int, votes: list[tuple[int, bytes]]) -> None:
+        self.votes[chain] = votes
+        self.replaced.add(chain)
 
 
 def honest_context(
@@ -65,11 +84,13 @@ def honest_context(
         hash_power=hash_power,
         prp_parent=state.prp_parent,
         prp_parent_level=state.prp_parent_level,
-        vt_parent=[t.tip for t in state.voter_trees],
+        vt_parent=list(state.voter_tips),
         txs=state.eligible_transactions(now, tx_capacity),
         unref_prp_refs=prp_refs,
         unref_tx_refs=tuple(state.unref_tx_pool),
         votes=list(state.honest_votes()),
+        source=state,
+        epoch=state.slot_epoch,
     )
 
 
@@ -86,20 +107,22 @@ def schedule_mining(
 
 
 class LastSuperblock:
-    """One miner's last superblock: its (parents, contents) Merkle trees
-    and its voter vote lists with their content leaves.
+    """One miner's last superblock: its (parents, contents) Merkle trees,
+    the vote list object behind each voter content leaf, and where its
+    context came from.
 
-    A vote list that is the same object as last time (vote lists are
-    rebuilt, never edited) keeps its leaf bytes, so only the chains whose
-    list changed are serialized again; the trees then rehash only the
-    leaves whose bytes differ.
+    The next context from the same source state rewrites only the voter
+    slots that state reports changed since, and the slots either context
+    replaced.  Each tree then rehashes only the leaves whose bytes moved.
     """
 
     def __init__(self) -> None:
         self.parents = MerkleTree()
         self.contents = MerkleTree()
         self.votes: list[list[tuple[int, bytes]]] = []
-        self.vote_leaves: list[bytes] = []
+        self.source: ChainState | None = None
+        self.epoch = 0
+        self.replaced: set[int] = set()
 
 
 def _voter_leaf(votes: list[tuple[int, bytes]]) -> bytes:
@@ -114,27 +137,77 @@ def assemble_superblock(
 
     Index layout: voter chains at 0..m-1, transaction at m, proposer at
     m+1.  The transaction slot's parent is the proposer parent.  ``last``
-    is the miner's previous superblock, which then holds this one;
-    without it everything is built afresh.
+    is the miner's previous superblock, which then holds this one; the
+    leaf lists returned are its trees' own, valid until its next
+    assembly.  Without it everything is built afresh.
     """
     last = last or LastSuperblock()
-    parents = list(ctx.vt_parent)
-    parents.append(ctx.prp_parent)  # transaction slot
-    parents.append(ctx.prp_parent)  # proposer slot
-    if len(last.votes) == len(ctx.votes):
-        contents = [
-            leaf if votes is old else _voter_leaf(votes)
-            for votes, old, leaf in zip(ctx.votes, last.votes, last.vote_leaves)
-        ]
-    else:
+    if ctx.source is None or ctx.source is not last.source or len(last.votes) != len(ctx.votes):
+        parents = list(ctx.vt_parent)
+        parents += (ctx.prp_parent, ctx.prp_parent)
         contents = [_voter_leaf(votes) for votes in ctx.votes]
-    last.votes = list(ctx.votes)
-    last.vote_leaves = list(contents)
-    contents.append(serialize_content(TransactionContent(tuple(ctx.txs))))
-    contents.append(
-        serialize_content(ProposerContent(ctx.unref_prp_refs, ctx.unref_tx_refs))
-    )
-    return parents, contents, last.parents.update(parents), last.contents.update(contents)
+        contents += (_tx_leaf(ctx), _prp_leaf(ctx))
+        last.votes = list(ctx.votes)
+        last.parents.update(parents)
+        last.contents.update(contents)
+    else:
+        dirty_parents, dirty_contents = _patch_slots(ctx, last)
+        last.parents.update(last.parents.leaves, dirty_parents)
+        last.contents.update(last.contents.leaves, dirty_contents)
+    last.source = ctx.source
+    last.epoch = ctx.epoch
+    last.replaced = set(ctx.replaced)
+    return last.parents.leaves, last.contents.leaves, last.parents.root, last.contents.root
+
+
+def _tx_leaf(ctx: MinerContext) -> bytes:
+    return serialize_content(TransactionContent(tuple(ctx.txs)))
+
+
+def _prp_leaf(ctx: MinerContext) -> bytes:
+    return serialize_content(ProposerContent(ctx.unref_prp_refs, ctx.unref_tx_refs))
+
+
+def _patch_slots(ctx: MinerContext, last: LastSuperblock) -> tuple[list[int], list[int]]:
+    """Write ``ctx`` into ``last``'s leaf lists over the slots that may
+    differ, and return the indexes whose bytes changed in each tree.
+
+    A vote list one vote longer than the one it follows extends that
+    leaf's bytes instead of serializing the list again.
+    """
+    parents = last.parents.leaves
+    contents = last.contents.leaves
+    slots = set(ctx.source.slots_changed_since(min(ctx.epoch, last.epoch)))
+    slots.update(ctx.replaced, last.replaced)
+    dirty_parents = []
+    dirty_contents = []
+    vt_parent, vote_lists, kept_lists = ctx.vt_parent, ctx.votes, last.votes
+    for i in slots:
+        if vt_parent[i] != parents[i]:
+            parents[i] = vt_parent[i]
+            dirty_parents.append(i)
+        votes = vote_lists[i]
+        old = kept_lists[i]
+        if votes is old:
+            continue
+        kept_lists[i] = votes
+        if len(votes) == len(old) + 1 and votes[:-1] == old:
+            level, digest = votes[-1]
+            leaf = u32(len(votes)) + contents[i][4:] + u64(level) + digest
+        else:
+            leaf = _voter_leaf(votes)
+        if leaf != contents[i]:
+            contents[i] = leaf
+            dirty_contents.append(i)
+    m = len(ctx.votes)
+    for i, leaf in ((m, _tx_leaf(ctx)), (m + 1, _prp_leaf(ctx))):
+        if ctx.prp_parent != parents[i]:
+            parents[i] = ctx.prp_parent
+            dirty_parents.append(i)
+        if leaf != contents[i]:
+            contents[i] = leaf
+            dirty_contents.append(i)
+    return dirty_parents, dirty_contents
 
 
 def finish_mining(

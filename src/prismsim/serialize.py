@@ -28,19 +28,8 @@ def lp_bytes(data: bytes) -> bytes:
     return u32(len(data)) + data
 
 
-def digest_bytes(digest: bytes) -> bytes:
-    if len(digest) != DIGEST_SIZE:
-        raise ValueError(f"digest must be {DIGEST_SIZE} bytes, got {len(digest)}")
-    return digest
-
-
 def hex_digest(digest: bytes) -> str:
     return digest.hex()
-
-
-def from_hex(text: str) -> bytes:
-    raw = bytes.fromhex(text)
-    return digest_bytes(raw)
 
 
 class ByteReader:
