@@ -197,31 +197,24 @@ class LCNode(Peer):
         super().__init__(node_id, sim, hash_power)
         self.state = LCState(sim.genesis_utxo, sim.scheme)
 
-    def on_mining_complete(self, now: float, epoch: int) -> None:
-        if epoch != self.mining_epoch:
-            return
+    def on_mining_complete(self, now: float) -> None:
         txs = tuple(self.state.mineable_txs(self.sim.capacity))
         block = LCBlock(self.state.tip, txs, int(self.rng.integers(2**62)), self.id)
         self.sim.record_mined(block, now)
         self.state.receive_block(block)
         self.sim.broadcast(self.id, block, now, exclude=None)
-        self.reschedule_mining(now)
 
     def on_block(self, block: LCBlock, from_peer: int, now: float) -> None:
         if self.state.has(block.digest):
             return
-        old_tip = self.state.tip
         self.state.receive_block(block)
         self.sim.broadcast(self.id, block, now, exclude=from_peer)
-        if self.state.tip != old_tip:
-            self.reschedule_mining(now)
 
     def on_transaction(self, tx: Transaction, now: float, from_peer: int | None = None) -> None:
         if not self.state.add_transaction(tx):
             return
         # the longest-chain protocol gossips pending transactions
         self.sim.gossip(self.id, TX_RELAY, tx, self.sim.tx_bytes, now, exclude=from_peer)
-        self.reschedule_mining(now)
 
 
 class LongestChainSimulation(EventCore):

@@ -42,7 +42,6 @@ DEFAULTS: dict[str, Any] = {
         "beta": 0.3,
         "epsilon": 1e-3,
         "vote_rule": "first_seen",  # most_voted for the balancing defence
-        "list_decoding_cap": 256,
     },
     "longest_chain": {
         "rate": 0.25,
@@ -193,6 +192,9 @@ def validate(cfg: dict) -> None:
         raise ConfigError("adversary.target_level", "must be >= 1")
     if adv["release_timeout_fraction"] < 0:
         raise ConfigError("adversary.release_timeout_fraction", "must be >= 0")
+    n = topo["nodes"]
+    if adversarial_count(cfg) >= n:
+        raise ConfigError("adversary.fraction", f"leaves no honest node among {n}")
     if adv["strategy"] == "balancing" and cfg["prism"]["vote_rule"] != "most_voted":
         raise ConfigError(
             "prism.vote_rule", "the balancing scenario requires the most_voted rule"
@@ -224,6 +226,16 @@ def validate(cfg: dict) -> None:
     for key, value in cfg["sizes"].items():
         if value < 0:
             raise ConfigError(f"sizes.{key}", "must be >= 0")
+
+
+def adversarial_count(cfg: dict) -> int:
+    """How many nodes, the last ones by id, run the adversary's strategy."""
+    adv = cfg["adversary"]
+    if adv["strategy"] in ("censorship", "balancing"):
+        return round(adv["fraction"] * cfg["topology"]["nodes"])
+    if adv["strategy"] == "private_double_spend" and adv["fraction"] > 0:
+        return 1  # co-located: one node holds the whole fraction
+    return 0
 
 
 def config_digest(cfg: dict) -> str:

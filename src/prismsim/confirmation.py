@@ -456,7 +456,6 @@ class ConfirmationEngine:
         self.mine_time_of = mine_time_of or (lambda digest: 0.0)
 
         self.leaders: list[bytes] = []
-        self.confirm_times: list[float] = []
         self.included_prp: set[bytes] = set()
         self.included_tx: set[bytes] = set()
         self.raw_count = 0
@@ -492,7 +491,6 @@ class ConfirmationEngine:
             if not decision.confirmed:
                 break
             self.leaders.append(decision.leader)
-            self.confirm_times.append(now)
             self._expand_leader(decision.leader, now)
         for level0, confirmed_digest in enumerate(self.leaders):
             level = level0 + 1

@@ -1,10 +1,11 @@
 """Superblock assembly and simulated proof-of-work.
 
-A miner keeps parents and contents for all ``m + 2`` sub-blocks current;
-mining completion times are exponential draws at the node's share of the
-total rate, re-drawn whenever the superblock changes (memorylessness
-makes the restart statistically free).  On completion the superblock is
-pruned to the sub-block the sortition draw selected.
+Mining completion times are exponential draws at the node's share of the
+total rate, one draw per completion.  The superblock over all ``m + 2``
+sub-blocks is assembled from the miner's state at completion, which by
+memorylessness has the law of mining a superblock kept current
+throughout.  It is then pruned to the sub-block the sortition draw
+selected.
 """
 from __future__ import annotations
 

@@ -35,8 +35,8 @@ from .blocks import (
     ValidationError,
     validate_block,
 )
-from .chain import ChainState, TxRejected
-from .config import config_digest
+from .chain import ChainState
+from .config import adversarial_count, config_digest
 from .confirmation import ConfirmationEngine
 from .crypto import get_scheme
 from .ledger import Transaction, TxInput, TxOutput, Utxo, signed_transaction, total_value
@@ -134,22 +134,14 @@ def block_wire_size(block: Block, sizes: dict) -> int:
 
 
 class Peer:
-    """What a node of either protocol shares: identity, hash power and a
-    memoryless mining clock."""
+    """What a node of either protocol shares: identity, hash power and the
+    stream of a memoryless mining clock, drawn once per completion."""
 
     def __init__(self, node_id: int, sim: "EventCore", hash_power: float):
         self.id = node_id
         self.sim = sim
         self.hash_power = hash_power
         self.rng = np.random.default_rng([sim.seed, 1, node_id])
-        self.mining_epoch = 0
-
-    def reschedule_mining(self, now: float) -> None:
-        """Mining target changed: invalidate the pending completion, redraw."""
-        self.mining_epoch += 1
-        when = schedule_mining(self.hash_power, self.sim.mining_rate, now, self.rng)
-        if when is not None:
-            self.sim.push(when, MINE, (self.id, self.mining_epoch))
 
 
 class EventCore:
@@ -277,10 +269,16 @@ class EventCore:
 
     # --- main loop ------------------------------------------------------------------------
 
+    def _schedule_mining(self, node: Peer, now: float) -> None:
+        """Push ``node``'s next mining completion; a powerless node has none."""
+        when = schedule_mining(node.hash_power, self.mining_rate, now, node.rng)
+        if when is not None:
+            self.push(when, MINE, node.id)
+
     def run(self) -> "RunResult":
         started = time.perf_counter()
         for node in self.nodes:
-            node.reschedule_mining(0.0)
+            self._schedule_mining(node, 0.0)
         self._schedule_workload()
         self.push(self.cfg["checkpoint_interval"], CHECKPOINT, None)
 
@@ -295,8 +293,10 @@ class EventCore:
                 receiver, block, sender = payload
                 nodes[receiver].on_block(block, sender, when)
             elif kind == MINE:
-                node_id, epoch = payload
-                nodes[node_id].on_mining_complete(when, epoch)
+                # the block's draws (sortition u, nonce) precede the next time
+                node = nodes[payload]
+                node.on_mining_complete(when)
+                self._schedule_mining(node, when)
             elif kind == TX:
                 self._handle_tx_event(when)
             elif kind == CHECKPOINT:
@@ -374,9 +374,7 @@ class Node(Peer):
             self.state, self.id, self.hash_power, now, self.sim.tx_capacity
         )
 
-    def on_mining_complete(self, now: float, epoch: int) -> None:
-        if epoch != self.mining_epoch:
-            return  # superseded by a superblock change
+    def on_mining_complete(self, now: float) -> None:
         ctx = self.build_context(now)
         block = finish_mining(
             ctx, self.sim.params, float(self.rng.random()), int(self.rng.integers(2**62)),
@@ -389,7 +387,6 @@ class Node(Peer):
         else:
             # withholding strategies return [] here and the backlog later
             self.publish(self.strategy.handle_mined(block, now), now)
-        self.reschedule_mining(now)
 
     def publish(self, blocks, now: float) -> None:
         for block in blocks:
@@ -416,14 +413,11 @@ class Node(Peer):
                 self.sim.push_fetch(self.id, from_peer, change.split(":", 1)[1], now)
         if self.strategy is not None:
             self.publish(self.strategy.handle_block(block, changes, now), now)
-        self.reschedule_mining(now)
 
     def on_transaction(self, tx: Transaction, now: float) -> None:
         # transactions are not gossiped: only the receiving miner sees one
         release = now + self.draw_jitter()
-        result = self.state.receive_transaction(tx, now, self.sim.scheme, release_time=release)
-        if not isinstance(result, TxRejected):
-            self.reschedule_mining(now)
+        self.state.receive_transaction(tx, now, self.sim.scheme, release_time=release)
 
     def draw_jitter(self) -> float:
         jitter = self.sim.cfg["spam"]["jitter"]
@@ -456,7 +450,7 @@ class Simulation(EventCore):
         self.nodes = [
             Node(i, self, powers[i], not honest_flags[i]) for i in range(self.topology.n)
         ]
-        self.observer = next(i for i in range(self.topology.n) if honest_flags[i])
+        self.observer = 0  # adversarial nodes are the last ones by id
 
         self.engine = ConfirmationEngine(
             self.nodes[self.observer].state,
@@ -480,16 +474,9 @@ class Simulation(EventCore):
     # --- setup -----------------------------------------------------------------
 
     def _assign_adversaries(self) -> list[bool]:
-        adv = self.cfg["adversary"]
         n = self.topology.n
-        honest = [True] * n
-        if adv["strategy"] in ("censorship", "balancing"):
-            count = round(adv["fraction"] * n)
-            for i in range(n - count, n):
-                honest[i] = False
-        elif adv["strategy"] == "private_double_spend" and adv["fraction"] > 0:
-            honest[n - 1] = False
-        return honest
+        honest_count = n - adversarial_count(self.cfg)
+        return [i < honest_count for i in range(n)]
 
     def _assign_powers(self, honest_flags: list[bool]) -> list[float]:
         adv = self.cfg["adversary"]

@@ -69,6 +69,39 @@ def test_values_that_crashed_or_bent_a_run_rejected_by_name(overlay, field):
 
 
 @pytest.mark.parametrize(
+    "overlay",
+    [
+        # Simulation.__init__ raised StopIteration picking an honest observer
+        {"topology": {"kind": "complete", "nodes": 1},
+         "adversary": {"strategy": "private_double_spend", "fraction": 0.3}},
+        {"topology": {"kind": "complete", "nodes": 2}, "allow_high_beta": True,
+         "adversary": {"strategy": "censorship", "fraction": 0.9}},
+        {"topology": {"kind": "complete", "nodes": 2}, "allow_high_beta": True,
+         "prism": {"vote_rule": "most_voted"},
+         "adversary": {"strategy": "balancing", "fraction": 1.0}},
+    ],
+    ids=["private_double_spend", "censorship", "balancing"],
+)
+def test_adversary_without_an_honest_node_rejected(overlay):
+    with pytest.raises(ConfigError) as err:
+        resolve(overlay)
+    assert err.value.field == "adversary.fraction"
+
+
+def test_adversary_leaving_one_honest_node_runs():
+    for strategy, nodes, fraction in (("private_double_spend", 2, 0.3), ("censorship", 3, 0.7)):
+        cfg = resolve({
+            "duration": 2.0,
+            "topology": {"kind": "complete", "nodes": nodes},
+            "adversary": {"strategy": strategy, "fraction": fraction},
+            "allow_high_beta": True,
+        })
+        result = run(cfg, seed=0)
+        assert [n.adversarial for n in result.sim.nodes] == [False] + [True] * (nodes - 1)
+        assert result.sim.observer == 0 and result.report.conservation_ok
+
+
+@pytest.mark.parametrize(
     "topology",
     [
         # build_topology redrew a disconnected graph forever
@@ -110,17 +143,22 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-# Small plausible ranges.  Degrees and the edges of beta include values
-# that validation must reject; the rest mostly run.  Node and chain counts
-# are always set, so that no example falls back to the 20-node, m = 100
-# defaults.
+# Small plausible ranges.  Degrees, the edges of beta and of the adversary
+# fraction, and a few negative counts include values that validation must
+# reject; the rest mostly run.  Node and chain counts, the graph kind
+# and the vote rule are always set, so that no example falls back to the
+# 20-node, m = 100 defaults and most examples reach a run: only regular
+# graphs check the degree, and balancing needs the most_voted rule.
 OVERLAYS = st.fixed_dictionaries(
     {
         "protocol": st.sampled_from(["prism", "longest_chain"]),
         "topology": st.fixed_dictionaries(
-            {"nodes": st.integers(1, 6), "degree": st.integers(-1, 5)},
-            optional={
+            {
+                "nodes": st.integers(1, 6),
+                "degree": st.integers(-1, 5),
                 "kind": st.sampled_from(["regular", "ring", "complete"]),
+            },
+            optional={
                 "delay_s": st.floats(0.0, 0.5),
                 "bandwidth_bytes_per_s": st.floats(1e3, 2e6),
             },
@@ -135,7 +173,7 @@ OVERLAYS = st.fixed_dictionaries(
             },
         ),
         "prism": st.fixed_dictionaries(
-            {"m": st.integers(1, 8)},
+            {"m": st.integers(1, 8), "vote_rule": st.sampled_from(["first_seen", "most_voted"])},
             optional={
                 "rate_voter_per_chain": st.floats(0.01, 2.0),
                 "rate_tx": st.floats(0.01, 2.0),
@@ -153,11 +191,43 @@ OVERLAYS = st.fixed_dictionaries(
                 "confirm_depth": st.integers(1, 6),
             },
         ),
+        "adversary": st.fixed_dictionaries(
+            {
+                "strategy": st.sampled_from(
+                    ["none", "private_double_spend", "censorship", "balancing"]
+                ),
+                "fraction": st.sampled_from([0.0, 0.3, 0.9, 1.0]) | st.floats(-0.1, 1.0),
+            },
+            optional={
+                "target_level": st.integers(0, 3),
+                "release_margin": st.integers(-1, 3),
+                "release_timeout_fraction": st.floats(-0.1, 1.0),
+                "mine_competitors": st.booleans(),
+            },
+        ),
+        "spam": st.fixed_dictionaries(
+            {},
+            optional={
+                "enabled": st.booleans(),
+                "tps": st.floats(0.0, 5.0),
+                "victims": st.integers(-1, 4),
+                "jitter": st.fixed_dictionaries(
+                    {},
+                    optional={
+                        "kind": st.sampled_from(["none", "uniform", "exponential"]),
+                        "max_s": st.floats(-0.5, 3.0),
+                        "mean_s": st.floats(-0.5, 3.0),
+                    },
+                ),
+                "normalize": st.booleans(),
+            },
+        ),
+        "allow_high_beta": st.booleans(),
     }
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(overlay=OVERLAYS, seed=st.integers(0, 3))
 def test_fuzzed_config_rejected_by_name_or_runs_conserving(overlay, seed):
     try:
@@ -166,7 +236,7 @@ def test_fuzzed_config_rejected_by_name_or_runs_conserving(overlay, seed):
         assert err.field
         event(f"rejected by {err.field}")
         return
-    event(f"ran {cfg['protocol']}")
+    event(f"ran {cfg['protocol']} {cfg['adversary']['strategy']}")
     with time_limit(10):
         report = run(cfg, seed).report
     assert report.conservation_ok

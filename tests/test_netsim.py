@@ -5,13 +5,17 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from helpers import Bench, forge_proposer
 
 import prismsim
+from prismsim.adversary import install_strategies
+from prismsim.baseline import LongestChainSimulation
 from prismsim.config import ConfigError, resolve
 from prismsim.netsim import (
     ARRIVE,
+    MINE,
     Simulation,
     Topology,
     build_topology,
@@ -201,7 +205,8 @@ def test_conservation_holds_at_every_checkpoint():
 
 
 def test_aggregate_mining_rate_preserved_by_rescheduling():
-    # constant redraw on superblock changes must keep blocks/s at f
+    # one exponential draw per completion, at each node's share, must keep
+    # blocks/s at f
     cfg = small_cfg(duration=120.0, workload={"tps": 10.0})
     result = run(cfg, seed=21)
     f = (
@@ -212,6 +217,61 @@ def test_aggregate_mining_rate_preserved_by_rescheduling():
     expected = f * cfg["duration"]
     observed = result.report.blocks["total"]
     assert abs(observed - expected) < 3 * np.sqrt(expected)
+
+
+def _clock_sim(name):
+    if name == "longest_chain":
+        lc = resolve({
+            "protocol": "longest_chain",
+            "duration": 60.0,
+            "topology": {"nodes": 6, "degree": 4, "delay_s": 0.1},
+            "longest_chain": {"rate": 2.0, "block_capacity": 50, "confirm_depth": 3},
+            "workload": {"tps": 10.0},
+        })
+        return LongestChainSimulation(lc, seed=0)
+    adversary = {"strategy": name, "fraction": 0.3} if name != "prism" else {}
+    sim = Simulation(small_cfg(duration=60.0, adversary=adversary), seed=0)
+    install_strategies(sim)
+    return sim
+
+
+@pytest.mark.parametrize("name", ["prism", "private_double_spend", "longest_chain"])
+def test_mining_clock_draws_once_per_completion(name):
+    # each node has exactly one pending completion from the start on: every
+    # completion mines a block and pushes the node's next one, and no other
+    # event touches the clock
+    sim = _clock_sim(name)
+    pushes = []
+    completions = []
+    mined_by = []
+    push, record_mined = sim.push, sim.record_mined
+
+    def counting_push(when, kind, payload):
+        if kind == MINE:
+            pushes.append(payload)
+        push(when, kind, payload)
+
+    def counting_record(block, *args):
+        mined_by.append(block.miner_id)
+        record_mined(block, *args)
+
+    sim.push, sim.record_mined = counting_push, counting_record
+    for node in sim.nodes:
+        def counting_complete(now, complete=node.on_mining_complete):
+            completions.append(now)
+            complete(now)
+
+        node.on_mining_complete = counting_complete
+    report = sim.run().report
+
+    powered = sum(1 for node in sim.nodes if node.hash_power > 0)
+    assert len(completions) == len(mined_by) == report.blocks["total"]
+    assert len(pushes) == len(completions) + powered
+    # per-node block counts follow the hash-power shares
+    shares = np.array([node.hash_power for node in sim.nodes])
+    observed = np.bincount(mined_by, minlength=len(sim.nodes))
+    expected = shares / shares.sum() * len(mined_by)
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 def test_paper_shape_profile_runs_with_thousand_chains():
