@@ -139,7 +139,7 @@ class LCState:
 
     def _insert(self, block: LCBlock) -> None:
         self._store(block)
-        for child in drain_orphans(self.orphans, block.digest, self.entries.__contains__):
+        for child in drain_orphans(self.orphans, block.digest):
             self.orphan_digests.discard(child.digest)
             self._store(child)
 

@@ -214,7 +214,7 @@ class Block:
         self.parent_proof = parent_proof
         self.content_proof = content_proof
         self.miner_id = miner_id
-        self.level = level
+        self.level = level  # the miner's record; receivers derive it from the parent
         self.digest = header.digest
 
     @property
@@ -331,8 +331,6 @@ def validate_block(block: Block, params: SortitionParams, scheme: SignatureSchem
             raise MalformedContent("proposer block without reference lists")
         if len(block.parent_leaf) != DIGEST_SIZE:
             raise MalformedContent("proposer parent is not a digest")
-        if block.level < 1:
-            raise MalformedContent("proposer level must be >= 1")
         for ref in block.content.prp_refs + block.content.tx_refs:
             if len(ref) != DIGEST_SIZE:
                 raise MalformedContent("reference is not a digest")

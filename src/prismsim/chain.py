@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import (
-    PROPOSER,
     TRANSACTION,
     VOTER,
     Block,
@@ -26,14 +25,14 @@ FIRST_SEEN = "first_seen"
 MOST_VOTED = "most_voted"
 
 
-def drain_orphans(orphans: dict[bytes, list], digest: bytes, stored):
+def drain_orphans(orphans: dict[bytes, list], digest: bytes):
     """Pop and yield the blocks buffered below ``digest``, depth first.
 
-    The caller inserts each block before the next one is drawn.  A child
-    and its own waiting descendants come before the child's next sibling,
-    so the first arrival keeps a tip tie; a block that ``stored(digest)``
-    says the caller refused keeps its descendants buffered.  An explicit
-    stack keeps deep chains clear of the recursion limit.
+    The caller inserts or refuses each block before the next one is
+    drawn; refusing one must pop its buffered descendants.  A child and
+    its own waiting descendants come before the child's next sibling, so
+    the first arrival keeps a tip tie.  An explicit stack keeps deep
+    chains clear of the recursion limit.
     """
     pending = [iter(orphans.pop(digest, ()))]
     while pending:
@@ -42,8 +41,6 @@ def drain_orphans(orphans: dict[bytes, list], digest: bytes, stored):
             pending.pop()
             continue
         yield block
-        if not stored(block.digest):
-            continue
         waiting = orphans.pop(block.digest, None)
         if waiting:
             pending.append(iter(waiting))
@@ -216,9 +213,6 @@ class ChainState:
         # blocks refused for their ancestry; the parent is committed, so
         # every copy of the digest is refused
         self.rejected: set[bytes] = set()
-        # (digest, level) of proposer blocks refused for their level; the
-        # level is not committed, so a copy with another level may be right
-        self.bad_levels: set[tuple[bytes, int]] = set()
 
         # tx-block digests claimed by proposer blocks (including claims
         # that arrived before the tx block itself)
@@ -276,24 +270,9 @@ class ChainState:
         return self.blocks.get(digest)
 
     def seen(self, block: Block) -> bool:
-        """Stored, genesis, buffered as an orphan, or rejected.
-
-        A proposer block is compared by digest and level, since a copy
-        with another level shares the digest.
-        """
+        """Stored, genesis, buffered as an orphan, or rejected."""
         digest = block.digest
-        if self.has_block(digest) or digest in self.rejected:
-            return True
-        if (digest, block.level) in self.bad_levels:
-            return True
-        if digest not in self.orphan_digests:
-            return False
-        if block.block_type.kind != PROPOSER:
-            return True
-        return any(
-            b.digest == digest and b.level == block.level
-            for b in self.orphans.get(block.parent_ref, ())
-        )
+        return self.has_block(digest) or digest in self.orphan_digests or digest in self.rejected
 
     def receive_block(self, block: Block) -> list[str]:
         """Apply a validated block; returns the state changes it caused.
@@ -301,22 +280,20 @@ class ChainState:
         Change tags: ``tx_block``, ``voter_stored:i``, ``voter_tip:i``,
         ``proposer_stored``, ``new_proposer_level:L``, ``prp_parent:L``,
         ``duplicate``, ``orphaned``, ``request_parent:<hex>``,
-        ``rejected:bad_level``, ``rejected:bad_parent``.  A block whose
-        parent is rejected or of another chain or kind is rejected with
-        every block buffered below it: its tags start with its own
-        ``rejected:bad_parent``, followed by one per descendant.  A
-        proposer block whose level does not follow its parent's is
-        rejected alone, and the blocks buffered below its digest wait for
-        a copy with the right level.  Rejections are remembered, so a
-        repeat is a duplicate.
+        ``rejected:bad_parent``.  A block whose parent is rejected or of
+        another chain or kind is rejected with every block buffered below
+        it: its tags start with its own ``rejected:bad_parent``, followed
+        by one per descendant.  Rejections are remembered, so a repeat is
+        a duplicate.  A proposer block's level is its stored parent's
+        plus one; the level the block claims is not read.
         """
         if self.seen(block):
             return ["duplicate"]
         kind = block.block_type.kind
-        if kind == TRANSACTION:
-            return self._receive_tx_block(block)
         parent = block.parent_ref
-        if kind == VOTER:
+        if kind == TRANSACTION:
+            changes = self._receive_tx_block(block)
+        elif kind == VOTER:
             tree = self.voter_trees[block.block_type.chain_index]
             if tree.has(parent):
                 changes = self._insert_voter(block)
@@ -328,8 +305,8 @@ class ChainState:
             if not self.has_block(parent) and parent not in self.rejected:
                 return self._buffer_orphan(block, parent)
             changes = self._insert_proposer(block)
-        if block.digest in self.blocks:
-            changes.extend(self._resolve_orphans(block.digest))
+        # a refused block has already taken its buffered descendants with it
+        changes.extend(self._resolve_orphans(block.digest))
         return changes
 
     def _buffer_orphan(self, block: Block, missing: bytes) -> list[str]:
@@ -339,7 +316,7 @@ class ChainState:
 
     def _resolve_orphans(self, digest: bytes) -> list[str]:
         changes: list[str] = []
-        for block in drain_orphans(self.orphans, digest, self.blocks.__contains__):
+        for block in drain_orphans(self.orphans, digest):
             self.orphan_digests.discard(block.digest)
             if block.block_type.kind != VOTER:
                 changes.extend(self._insert_proposer(block))
@@ -430,15 +407,13 @@ class ChainState:
         parent_entry = self.prp_entries.get(parent)
         if parent_entry is None and parent != self.proposer_genesis:
             return self._reject(block)  # rejected, or not a proposer block
-        parent_level = parent_entry.level if parent_entry else 0
-        if block.level != parent_level + 1:
-            self.bad_levels.add((block.digest, block.level))
-            return ["rejected:bad_level"]
-        entry = ProposerEntry(block, parent, block.level)
+        # the parent is committed by the parent proof; the claimed level is not
+        level = parent_entry.level + 1 if parent_entry else 1
+        entry = ProposerEntry(block, parent, level)
         self.prp_entries[block.digest] = entry
         self.blocks[block.digest] = block
         changes = ["proposer_stored"]
-        level_list = self.prp_by_level.setdefault(block.level, [])
+        level_list = self.prp_by_level.setdefault(level, [])
         new_level = not level_list
         level_list.append(block.digest)
         self.unref_prp_pool[block.digest] = None
@@ -450,23 +425,23 @@ class ChainState:
         for ref in block.content.tx_refs:
             self.unref_tx_pool.pop(ref, None)
         if new_level:
-            changes.append(f"new_proposer_level:{block.level}")
-            self.vote_choices[block.level] = block.digest
+            changes.append(f"new_proposer_level:{level}")
+            self.vote_choices[level] = block.digest
             # its parent is stored one level down, so the new level is the
             # new top: a current list gains it as its last vote
-            vote = [(block.level, block.digest)]
-            owing = [i for i, t in enumerate(self.voter_trees) if block.level not in t.main_votes]
+            vote = [(level, block.digest)]
+            owing = [i for i, t in enumerate(self.voter_trees) if level not in t.main_votes]
             for i in owing:
-                self.pending_vote_levels[i].add(block.level)
+                self.pending_vote_levels[i].add(level)
                 if i not in self.stale_vote_lists:
                     self.vote_lists[i] = self.vote_lists[i] + vote
             self._slots_changed(owing)
         elif self.vote_rule == MOST_VOTED:
-            self._recheck_choice(block.level)
-        if block.level > self.prp_parent_level:
+            self._recheck_choice(level)
+        if level > self.prp_parent_level:
             self.prp_parent = block.digest
-            self.prp_parent_level = block.level
-            changes.append(f"prp_parent:{block.level}")
+            self.prp_parent_level = level
+            changes.append(f"prp_parent:{level}")
         return changes
 
     def _recheck_choice(self, level: int) -> None:

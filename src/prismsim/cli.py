@@ -191,20 +191,26 @@ def cmd_curves(args) -> int:
     return 0
 
 
+def _seed_flag(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="prismsim")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one simulation")
     run_p.add_argument("--config", default=None)
-    run_p.add_argument("--seed", type=int, default=None)
+    run_p.add_argument("--seed", type=_seed_flag, default=None)
     run_p.add_argument("--out", default="out")
     run_p.add_argument("--profile", default=None)
     run_p.set_defaults(func=cmd_run)
 
     batch_p = sub.add_parser("batch", help="run a seed sweep and aggregate")
     batch_p.add_argument("--config", default=None)
-    batch_p.add_argument("--seed", type=int, default=None)
+    batch_p.add_argument("--seed", type=_seed_flag, default=None)
     batch_p.add_argument("--n", type=int, default=10)
     batch_p.add_argument("--workers", type=int, default=None)
     batch_p.add_argument("--out", default="out")
@@ -222,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jitter-grid", dest="jitter_grid", type=float, nargs="+", default=[2.0, 5.0, 10.0, 20.0]
     )
     curves_p.add_argument("--no-sim", dest="no_sim", action="store_true")
-    curves_p.add_argument("--seed", type=int, default=0)
+    curves_p.add_argument("--seed", type=_seed_flag, default=0)
     curves_p.add_argument("--out", default="curves.csv")
     curves_p.set_defaults(func=cmd_curves)
     return parser

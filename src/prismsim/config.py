@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from typing import Any
 
 from .crypto import sha256
@@ -111,19 +112,37 @@ def resolve(raw: dict | None = None, profile: str | None = None) -> dict:
 
 
 def _check_keys(cfg: dict, defaults: dict, prefix: str = "") -> None:
-    """Reject keys the defaults do not have, and sections that are not objects."""
+    """Reject keys the defaults do not have, and values of another type
+    than their default's: counts and levels take integers (or null where
+    the default is null), rates and times finite numbers."""
     for key, value in cfg.items():
         name = prefix + key
         if key not in defaults:
             raise ConfigError(name, "unknown key")
-        if isinstance(defaults[key], dict):
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(name, "must be an object")
-            _check_keys(value, defaults[key], name + ".")
+            _check_keys(value, default, name + ".")
+        elif isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(name, f"must be true or false, got {value!r}")
+        elif isinstance(default, str):
+            continue
+        elif isinstance(value, bool):  # an int subclass, but no number here
+            raise ConfigError(name, f"must be a number, got {value!r}")
+        elif isinstance(default, float):
+            # false for NaN, the infinities and integers too large for a float
+            if not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+                raise ConfigError(name, f"must be a finite number, got {value!r}")
+        elif not isinstance(value, int) and not (value is None and default is None):
+            raise ConfigError(name, f"must be an integer, got {value!r}")
 
 
 def validate(cfg: dict) -> None:
     _check_keys(cfg, DEFAULTS)
+    if cfg["seed"] < 0:
+        raise ConfigError("seed", "must be >= 0")
     if cfg["protocol"] not in ("prism", "longest_chain"):
         raise ConfigError("protocol", f"must be 'prism' or 'longest_chain', got {cfg['protocol']!r}")
     if cfg["duration"] <= 0:

@@ -671,16 +671,13 @@ def run(cfg: dict, seed: int) -> RunResult:
         install_strategies(sim)
     result = sim.run()
     spam = cfg["spam"]
-    if spam["enabled"] and spam["normalize"] and spam["jitter"]["kind"] != "none":
-        # normalized spam compares against the no-jitter twin of the same seed
-        twin_cfg = {**cfg, "spam": {**spam, "jitter": {**spam["jitter"], "kind": "none"}, "normalize": False}}
-        twin = run(twin_cfg, seed)
-        result.report.spam["baseline_inclusions"] = twin.report.spam["inclusions"]
+    if spam["enabled"] and (spam["normalize"] or spam["jitter"]["kind"] == "none"):
+        # normalized spam compares against the no-jitter twin of the same
+        # seed; a run without jitter is its own twin
+        twin = result
+        if spam["jitter"]["kind"] != "none":
+            twin = run({**cfg, "spam": {**spam, "jitter": {**spam["jitter"], "kind": "none"}}}, seed)
         base = twin.report.spam["inclusions"]
-        result.report.spam["normalized"] = (
-            result.report.spam["inclusions"] / base if base else None
-        )
-    elif spam["enabled"]:
-        result.report.spam["baseline_inclusions"] = result.report.spam["inclusions"]
-        result.report.spam["normalized"] = 1.0 if result.report.spam["inclusions"] else None
+        result.report.spam["baseline_inclusions"] = base
+        result.report.spam["normalized"] = result.report.spam["inclusions"] / base if base else None
     return result

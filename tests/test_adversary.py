@@ -287,6 +287,24 @@ def test_spam_without_jitter_normalizes_to_one():
     assert report.spam["normalized"] == 1.0
 
 
+def test_spam_with_jitter_and_no_twin_reports_no_baseline():
+    # the run was once reported as its own baseline, normalized 1.0
+    cfg = {
+        "duration": 10.0,
+        "topology": {"nodes": 4, "degree": 2, "delay_s": 0.1},
+        "prism": {"m": 10, "rate_voter_per_chain": 0.3, "rate_tx": 20.0, "rate_prop": 0.2},
+        "workload": {"tps": 0.0},
+        "spam": {"enabled": True, "tps": 2.0, "jitter": {"kind": "uniform"}, "normalize": False},
+    }
+    spam = run(resolve(cfg), seed=7).report.spam
+    assert spam["inclusions"] > 0
+    assert spam["baseline_inclusions"] is None and spam["normalized"] is None
+    cfg["spam"]["normalize"] = True
+    spam = run(resolve(cfg), seed=7).report.spam
+    assert spam["baseline_inclusions"] > 0
+    assert spam["normalized"] == spam["inclusions"] / spam["baseline_inclusions"]
+
+
 def test_spam_jitter_reduces_inclusions():
     base = {
         "duration": 25.0,

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from helpers import KEYS, SCHEME, Bench, forge_proposer, genesis_set, make_params, spend, u_for
+from helpers import (
+    KEYS, SCHEME, Bench, forge_proposer, forge_tx_block, genesis_set, make_params, spend, u_for,
+)
 
 from prismsim.blocks import Block, genesis_proposer_digest, genesis_voter_digest, validate_block
 from prismsim.chain import FIRST_SEEN, MOST_VOTED, ChainState, TxRejected
@@ -416,78 +418,75 @@ def forge_voter(params, chain_index, parent):
     return block
 
 
-def test_bad_level_proposer_rejected_without_draining_its_orphans():
+def test_claimed_level_is_ignored_on_a_forged_proposer():
     params = make_params(m=2)
     state = ChainState(2)
-    bad = forge_proposer(params, state.proposer_genesis, level=3)
-    child = forge_proposer(params, bad.digest, level=4)
-    for block in (bad, child):
-        validate_block(block, params, SCHEME)  # well formed; only the level is wrong
-    assert "orphaned" in state.receive_block(child)
-    assert state.receive_block(bad) == ["rejected:bad_level"]
-    assert state.receive_block(bad) == ["duplicate"]
-    assert state.receive_block(child) == ["duplicate"]
-    assert not state.has_block(bad.digest) and state.prp_entries == {}
-    assert state.orphans == {bad.digest: [child]}  # waits for a copy with the right level
-    # the same digest at level 1 is a valid block: it is stored, and the
-    # waiting child is then checked against it
-    right = relevel(bad, 1)
-    assert state.receive_block(right) == [
-        "proposer_stored", "new_proposer_level:1", "prp_parent:1", "rejected:bad_level",
+    forged = forge_proposer(params, state.proposer_genesis, level=3)
+    validate_block(forged, params, SCHEME)  # the claimed level is not checked
+    assert forged.level == 3
+    assert state.receive_block(forged) == ["proposer_stored", "new_proposer_level:1", "prp_parent:1"]
+    assert state.prp_entries[forged.digest].level == 1
+    assert state.prp_by_level == {1: [forged.digest]}
+    child = relevel(forge_proposer(params, forged.digest, level=4), 0)
+    validate_block(child, params, SCHEME)
+    assert state.receive_block(child) == ["proposer_stored", "new_proposer_level:2", "prp_parent:2"]
+    assert state.prp_parent == child.digest and state.prp_parent_level == 2
+    state.check_invariants()
+
+
+@pytest.mark.parametrize("tampered_first", [False, True], ids=["honest_first", "tampered_first"])
+@pytest.mark.parametrize("parent_first", [True, False], ids=["stored", "orphaned"])
+def test_level_tampered_copy_is_a_duplicate(parent_first, tampered_first):
+    params = make_params(m=2)
+    state = ChainState(2)
+    parent = forge_proposer(params, state.proposer_genesis, level=1)
+    honest = forge_proposer(params, parent.digest, level=2)
+    tampered = relevel(honest, 7)
+    if parent_first:
+        state.receive_block(parent)
+    first, second = (tampered, honest) if tampered_first else (honest, tampered)
+    assert state.receive_block(first)[0] == ("proposer_stored" if parent_first else "orphaned")
+    assert state.receive_block(second) == ["duplicate"]
+    if not parent_first:
+        assert state.receive_block(parent).count("proposer_stored") == 2
+    for copy in (honest, tampered, relevel(honest, 1)):
+        assert state.receive_block(copy) == ["duplicate"]
+    assert state.get_block(honest.digest) is first
+    assert state.prp_entries[honest.digest].level == 2
+    assert state.prp_by_level == {1: [parent.digest], 2: [honest.digest]}
+    assert state.prp_parent == honest.digest and state.prp_parent_level == 2
+    assert not state.orphans and not state.orphan_digests
+    state.check_invariants()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["proposer", "voter"]), min_size=4, max_size=16),
+    data=st.data(),
+)
+def test_shuffled_delivery_with_tampered_levels_matches_in_order_state(kinds, data):
+    """A one-miner proposer tree with voter blocks, delivered in random
+    order with level-tampered copies of proposer blocks mixed in, ends in
+    the honest in-order state."""
+    source = Bench(m=3, seed=21)
+    history = [source.mine(kind, chain_index=i % 3) for i, kind in enumerate(kinds)]
+    proposers = [b for b in history if b.block_type.kind == "proposer"]
+    picks = data.draw(st.lists(st.sampled_from(proposers), max_size=6)) if proposers else []
+    tampered = [
+        relevel(block, data.draw(st.integers(0, 40).filter(lambda lvl, b=block: lvl != b.level)))
+        for block in picks
     ]
-    assert set(state.prp_entries) == {bad.digest} and state.get_block(bad.digest) is right
+    in_order = ChainState(3)
+    for block in history:
+        in_order.receive_block(block)
+    state = ChainState(3)
+    for block in data.draw(st.permutations(history + tampered)):
+        state.receive_block(block)
+        state.check_invariants()
     assert not state.orphans and not state.orphan_digests
-
-
-def test_level_tampered_copy_does_not_shadow_the_honest_block():
-    params = make_params(m=2)
-    state = ChainState(2)
-    honest = forge_proposer(params, state.proposer_genesis, level=1)
-    child = forge_proposer(params, honest.digest, level=2)
-    tampered = relevel(honest, 2)
-    assert state.receive_block(tampered) == ["rejected:bad_level"]
-    assert "orphaned" in state.receive_block(child)
-    changes = state.receive_block(honest)
-    assert changes.count("proposer_stored") == 2
-    assert set(state.prp_entries) == {honest.digest, child.digest}
-    assert state.prp_parent == child.digest
-    assert state.receive_block(tampered) == ["duplicate"]
-
-
-def test_level_tampered_orphan_does_not_shadow_the_honest_orphan():
-    params = make_params(m=2)
-    state = ChainState(2)
-    first = forge_proposer(params, state.proposer_genesis, level=1)
-    honest = forge_proposer(params, first.digest, level=2)
-    child = forge_proposer(params, honest.digest, level=3)
-    tampered = relevel(honest, 5)
-    for block in (tampered, honest, child):
-        assert "orphaned" in state.receive_block(block)
-    assert state.receive_block(relevel(honest, 5)) == ["duplicate"]
-    assert state.receive_block(relevel(honest, 2)) == ["duplicate"]
-    changes = state.receive_block(first)
-    assert changes.count("proposer_stored") == 3 and changes.count("rejected:bad_level") == 1
-    assert state.prp_parent == child.digest and state.prp_parent_level == 3
-    assert state.get_block(honest.digest) is honest
-    assert not state.orphans and not state.orphan_digests
-
-
-def test_bad_level_orphan_rejected_when_its_parent_arrives():
-    params = make_params(m=2)
-    state = ChainState(2)
-    good = forge_proposer(params, state.proposer_genesis, level=1)
-    bad = forge_proposer(params, good.digest, level=5)
-    below_bad = forge_proposer(params, bad.digest, level=6)
-    sibling = forge_proposer(params, good.digest, level=2)
-    for block in (below_bad, bad, sibling):
-        assert "orphaned" in state.receive_block(block)
-    changes = state.receive_block(good)
-    assert changes.count("proposer_stored") == 2  # good and its valid child
-    assert changes.count("rejected:bad_level") == 1 and "rejected:bad_parent" not in changes
-    assert set(state.prp_entries) == {good.digest, sibling.digest}
-    assert state.prp_parent == sibling.digest
-    assert state.orphans == {bad.digest: [below_bad]}
-    assert state.orphan_digests == {below_bad.digest}
+    assert state.prp_by_level == in_order.prp_by_level
+    assert (state.prp_parent, state.prp_parent_level) == (in_order.prp_parent, in_order.prp_parent_level)
+    assert state.honest_votes() == in_order.honest_votes()
 
 
 def test_proposer_on_a_parent_of_another_kind_rejected_with_descendants():
@@ -503,6 +502,12 @@ def test_proposer_on_a_parent_of_another_kind_rejected_with_descendants():
     late = forge_proposer(params, child.digest, level=3)
     assert state.receive_block(late) == ["rejected:bad_parent"]
     assert state.prp_entries == {} and state.prp_parent_level == 0
+    # on a transaction block that arrives later: refused once it arrives
+    tx_block = forge_tx_block(params, [])
+    on_tx_block = forge_proposer(params, tx_block.digest, level=1)
+    assert "orphaned" in state.receive_block(on_tx_block)
+    assert state.receive_block(tx_block) == ["tx_block", "rejected:bad_parent"]
+    assert not state.orphans and not state.orphan_digests
 
 
 def test_voter_block_on_a_parent_outside_its_chain_rejected():

@@ -62,6 +62,18 @@ def test_high_beta_exits_nonzero_naming_field(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["run"], ["batch"], ["curves", "utilization"]], ids=["run", "batch", "curves"]
+)
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
+    # numpy's default_rng raised ValueError on a negative seed
+    with pytest.raises(SystemExit) as exit_:
+        main(command + ["--seed", "-1", "--out", str(tmp_path / "x")])
+    assert exit_.value.code == 2
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_config_file_errors(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
     assert code != 0

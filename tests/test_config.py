@@ -1,3 +1,4 @@
+import copy
 import signal
 from contextlib import contextmanager
 
@@ -60,6 +61,19 @@ def test_defaults_profiles_and_edge_values_still_resolve():
         ({"spam": {"enabled": True, "victims": -3}}, "spam.victims"),
         # put the release deadline before the start of the run
         ({"adversary": {"release_timeout_fraction": -0.5}}, "adversary.release_timeout_fraction"),
+        # default_rng raised ValueError: expected non-negative integer
+        ({"seed": -1}, "seed"),
+        # TypeError: a float where a count was used as an integer
+        ({"topology": {"nodes": 3.5}}, "topology.nodes"),
+        ({"prism": {"m": 5.5}}, "prism.m"),
+        ({"workload": {"wallets": 2.5}}, "workload.wallets"),
+        # ValueError and OverflowError converting to an integer; json reads both
+        ({"duration": float("nan")}, "duration"),
+        ({"workload": {"tps": float("inf")}}, "workload.tps"),
+        # TypeError comparing a string with a number
+        ({"duration": "5"}, "duration"),
+        # OverflowError: an integer too large for a float
+        ({"duration": 10**400}, "duration"),
     ],
 )
 def test_values_that_crashed_or_bent_a_run_rejected_by_name(overlay, field):
@@ -227,11 +241,35 @@ OVERLAYS = st.fixed_dictionaries(
 )
 
 
+def _numeric_fields(defaults, prefix=""):
+    for key, value in defaults.items():
+        if isinstance(value, dict):
+            yield from _numeric_fields(value, prefix + key + ".")
+        elif not isinstance(value, (bool, str)):
+            yield prefix + key
+
+
+# at most one field per example gets an off-type, non-finite or fractional
+# value, so that most examples still reach a run
+SPOILS = st.none() | st.tuples(
+    st.sampled_from(sorted(_numeric_fields(DEFAULTS))),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), "5", True, None, [], 2.5]),
+)
+
+
 @settings(max_examples=400, deadline=None)
-@given(overlay=OVERLAYS, seed=st.integers(0, 3))
-def test_fuzzed_config_rejected_by_name_or_runs_conserving(overlay, seed):
+@given(overlay=OVERLAYS, spoil=SPOILS, seed=st.integers(0, 3))
+def test_fuzzed_config_rejected_by_name_or_runs_conserving(overlay, spoil, seed):
+    overlay = {**copy.deepcopy(overlay), "duration": 3.0}
+    if spoil is not None:
+        name, value = spoil
+        *sections, key = name.split(".")
+        target = overlay
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[key] = value
     try:
-        cfg = resolve({**overlay, "duration": 3.0})
+        cfg = resolve(overlay)
     except ConfigError as err:
         assert err.field
         event(f"rejected by {err.field}")

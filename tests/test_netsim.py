@@ -352,27 +352,26 @@ def test_verdict_is_kept_per_object_not_per_digest():
     assert sim.is_valid(good) and not sim.is_valid(forged) and sim.is_valid(good)
 
 
-def test_bad_level_proposer_counted_once_and_not_forwarded():
+def test_forged_level_proposer_stored_and_forwarded_once_per_node():
     cfg = small_cfg(duration=20.0, topology={"kind": "ring", "nodes": 6})
     sim = Simulation(cfg, seed=4)
-    genesis = sim.nodes[0].state.proposer_genesis
-    bad = forge_proposer(sim.params, genesis, level=3)
-    receipts = []
-    for node in sim.nodes:
-        original = node.on_block
+    forged = forge_proposer(sim.params, sim.nodes[0].state.proposer_genesis, level=3)
+    forwards = []
+    broadcast = sim.broadcast
 
-        def counting(block, from_peer, now, original=original):
-            if block is bad:
-                receipts.append(now)
-            return original(block, from_peer, now)
+    def counting(sender, block, now, exclude):
+        if block is forged:
+            forwards.append(sender)
+        return broadcast(sender, block, now, exclude)
 
-        node.on_block = counting
+    sim.broadcast = counting
     for when, node in ((1.0, 0), (1.5, 0), (2.0, 3)):
-        sim.push(when, ARRIVE, (node, bad, (node + 1) % 6))
+        sim.push(when, ARRIVE, (node, forged, (node + 1) % 6))
     report = sim.run().report
-    assert receipts == [1.0, 1.5, 2.0]
-    assert report.invalid_blocks == 2  # node 0's repeat is a duplicate
-    assert all(node.state.seen(bad) for node in (sim.nodes[0], sim.nodes[3]))
+    assert report.invalid_blocks == 0
+    assert sorted(forwards) == list(range(6))
+    for node in sim.nodes:
+        assert node.state.prp_entries[forged.digest].level == 1
     assert report.blocks["total"] > 0 and report.conservation_ok
 
 
