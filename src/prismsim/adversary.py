@@ -11,12 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .blocks import Block, PROPOSER, TRANSACTION, VOTER
+from .chain import ProposerEntry
 from .mining import MinerContext, honest_context
 
 
-class Strategy:
-    name = "honest"
+def _compete_with(ctx: MinerContext, entry: ProposerEntry) -> None:
+    """Aim the proposer sub-block at ``entry``'s parent, so it competes
+    with ``entry`` at its level."""
+    ctx.prp_parent = entry.parent
+    ctx.prp_parent_level = entry.level - 1
+    ctx.unref_prp_refs = tuple(d for d in ctx.unref_prp_refs if d != entry.parent)
 
+
+class Strategy:
     def attach(self, sim, node) -> None:
         self.sim = sim
         self.node = node
@@ -35,8 +42,6 @@ class CensorshipStrategy(Strategy):
     """Mine structurally valid but empty transaction and proposer content;
     vote and extend chains honestly otherwise."""
 
-    name = "censorship"
-
     def build_context(self, now: float) -> MinerContext:
         node = self.node
         ctx = honest_context(node.state, node.id, node.hash_power, now, self.sim.tx_capacity)
@@ -49,8 +54,6 @@ class CensorshipStrategy(Strategy):
 class BalancingStrategy(Strategy):
     """Keep proposer levels contested: mine a competitor wherever a level
     has a single candidate, and always vote for the runner-up."""
-
-    name = "balancing"
 
     def __init__(self, mine_competitors: bool = True):
         self.mine_competitors = mine_competitors
@@ -83,13 +86,7 @@ class BalancingStrategy(Strategy):
         if self.mine_competitors:
             top = state.prp_parent_level
             if top >= 1 and len(state.prp_by_level.get(top, ())) == 1:
-                # retarget the proposer sub-block to compete at the top level
-                existing = state.prp_entries[state.prp_by_level[top][0]]
-                ctx.prp_parent = existing.parent
-                ctx.prp_parent_level = top - 1
-                ctx.unref_prp_refs = tuple(
-                    d for d in ctx.unref_prp_refs if d != existing.parent
-                )
+                _compete_with(ctx, state.prp_entries[state.prp_by_level[top][0]])
         return ctx
 
 
@@ -109,8 +106,6 @@ class PrivateDoubleSpendStrategy(Strategy):
     public one (so it wins the fork choice) and votes for the private
     candidate on at least m/2 + margin chains, or at the timeout.
     """
-
-    name = "private_double_spend"
 
     def __init__(self, target_level: int, release_margin: int, release_timeout: float):
         self.target_level = target_level
@@ -203,12 +198,7 @@ class PrivateDoubleSpendStrategy(Strategy):
         if self.private_block is None:
             public = state.prp_by_level.get(self.target_level)
             if public:
-                existing = state.prp_entries[public[0]]
-                ctx.prp_parent = existing.parent
-                ctx.prp_parent_level = self.target_level - 1
-                ctx.unref_prp_refs = tuple(
-                    d for d in ctx.unref_prp_refs if d != existing.parent
-                )
+                _compete_with(ctx, state.prp_entries[public[0]])
         return ctx
 
     def handle_mined(self, block: Block, now: float) -> list[Block]:

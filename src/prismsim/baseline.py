@@ -13,7 +13,14 @@ import math
 from .chain import drain_orphans
 from .confirmation import LatencySample, _poisson_pmf_prefix
 from .crypto import sha256
-from .ledger import APPLIED, Transaction, execute, execute_with_fee
+from .ledger import (
+    APPLIED,
+    Transaction,
+    conservation_check,
+    execute,
+    execute_with_fee,
+    total_value,
+)
 from .netsim import TX_RELAY, EventCore, Peer
 from .serialize import u64
 
@@ -333,5 +340,7 @@ class LongestChainSimulation(EventCore):
             },
             mempool_final=state.mempool_size(),
             invalid_blocks=0,
-            conservation_ok=self._conserves(self.confirmed_utxo, self.fees),
+            conservation_ok=conservation_check(
+                total_value(self.genesis_utxo), self.confirmed_utxo, self.fees
+            ),
         )

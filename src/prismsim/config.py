@@ -237,8 +237,9 @@ def validate(cfg: dict) -> None:
         raise ConfigError("workload.tps", "must be >= 0")
     if workload["wallets"] < 1:
         raise ConfigError("workload.wallets", "must be >= 1")
-    if workload["coin_value"] < 1:
-        raise ConfigError("workload.coin_value", "must be >= 1")
+    # amounts are serialized as unsigned 64-bit integers
+    if not 1 <= workload["coin_value"] <= 2**64 - 1:
+        raise ConfigError("workload.coin_value", "must lie in [1, 2**64 - 1]")
     if workload["genesis_coins"] is not None and workload["genesis_coins"] < 1:
         raise ConfigError("workload.genesis_coins", "must be >= 1, or null for the default")
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from statistics import NormalDist
 from typing import Callable, Iterable
-
-from scipy.special import ndtri
 
 from .chain import ChainState
 from .crypto import SignatureScheme
@@ -95,12 +94,13 @@ def vote_permanence(depth: int, private_depth: float, beta: float) -> float:
     return min(1.0, max(0.0, cdf - catch_up))
 
 
-def quantile_radius(epsilon: float, allow_fallback: bool = True) -> float:
+def quantile_radius(epsilon: float) -> float:
     """Multiplier r such that mu - r * sigma approximates the epsilon-quantile.
 
     Uses the closed-form approximation of the normal quantile; for
-    epsilon too large for that form the exact inverse CDF is used
-    instead (or a ValueError is raised when the fallback is disabled).
+    epsilon too large for that form (about 0.234 and up) the exact
+    inverse CDF of the standard library, `statistics.NormalDist().inv_cdf`,
+    is used instead.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -108,12 +108,7 @@ def quantile_radius(epsilon: float, allow_fallback: bool = True) -> float:
     # the closed form only tracks the lower tail: require ln(1/eps^2) > 1
     # and a positive radicand, otherwise fall back to the exact quantile
     if log_inv <= 1.0 or log_inv - math.log(log_inv) - math.log(2 * math.pi) <= 0.0:
-        if not allow_fallback:
-            raise ValueError(
-                f"epsilon={epsilon} too large for the closed-form quantile; "
-                "use the exact inverse-CDF fallback"
-            )
-        return float(-ndtri(epsilon))
+        return -NormalDist().inv_cdf(epsilon)
     return math.sqrt(log_inv - math.log(log_inv) - math.log(2 * math.pi))
 
 

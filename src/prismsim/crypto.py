@@ -32,8 +32,6 @@ class KeyPair:
 class SignatureScheme:
     """Interface: derive keypairs from seeds, sign bytes, verify bytes."""
 
-    name = "abstract"
-
     def keypair(self, seed: bytes) -> KeyPair:
         raise NotImplementedError
 
@@ -51,8 +49,6 @@ class MockScheme(SignatureScheme):
     ``signature_scheme: "mock"`` config flag for simulation runs where
     signature CPU cost is not under test.
     """
-
-    name = "mock"
 
     def keypair(self, seed: bytes) -> KeyPair:
         secret = sha256(b"mock-secret" + seed)
@@ -75,8 +71,6 @@ def _ed25519_key(secret: bytes) -> Ed25519PrivateKey:
 
 
 class Ed25519Scheme(SignatureScheme):
-    name = "ed25519"
-
     def keypair(self, seed: bytes) -> KeyPair:
         secret = sha256(b"ed25519-seed" + seed)
         key = Ed25519PrivateKey.from_private_bytes(secret)

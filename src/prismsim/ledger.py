@@ -293,14 +293,10 @@ def sanitize_parallel(
 
 
 def conservation_check(
-    total_before: int,
-    ledger: Sequence[Transaction],
-    utxo_set_after: dict[CoinId, Utxo],
-    fees: Sequence[int],
+    total_before: int, utxo_set_after: dict[CoinId, Utxo], fees: Sequence[int]
 ) -> bool:
     """Total coin value after = before minus the fees of applied txs."""
-    total_after = sum(u.value for u in utxo_set_after.values())
-    return total_after == total_before - sum(fees)
+    return total_value(utxo_set_after) == total_before - sum(fees)
 
 
 def total_value(utxo_set: dict[CoinId, Utxo]) -> int:

@@ -39,7 +39,15 @@ from .chain import ChainState
 from .config import adversarial_count, config_digest
 from .confirmation import ConfirmationEngine
 from .crypto import get_scheme
-from .ledger import Transaction, TxInput, TxOutput, Utxo, signed_transaction, total_value
+from .ledger import (
+    Transaction,
+    TxInput,
+    TxOutput,
+    Utxo,
+    conservation_check,
+    signed_transaction,
+    total_value,
+)
 from .mining import LastSuperblock, finish_mining, honest_context, schedule_mining
 from .metrics import MetricsReport, latency_stats
 
@@ -319,9 +327,6 @@ class EventCore:
     def _raw_confirmed(self, steady_start: float) -> int:
         """Transactions entering the unsanitized ledger in the steady window."""
         return self._confirmed_in_window(steady_start)
-
-    def _conserves(self, utxo: dict, fees: list[int]) -> bool:
-        return total_value(utxo) == total_value(self.genesis_utxo) - sum(fees)
 
     def _report(self, started: float) -> MetricsReport:
         steady_start = self.cfg["steady_state_fraction"] * self.duration
@@ -648,7 +653,9 @@ class Simulation(EventCore):
             },
             mempool_final=len(observer_state.mempool),
             invalid_blocks=self.invalid_blocks,
-            conservation_ok=self._conserves(engine.utxo, engine.fees),
+            conservation_ok=conservation_check(
+                total_value(self.genesis_utxo), engine.utxo, engine.fees
+            ),
         )
 
 

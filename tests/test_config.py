@@ -48,6 +48,17 @@ def test_defaults_profiles_and_edge_values_still_resolve():
         "adversary": {"target_level": 1},
     }
     assert resolve(edge)["workload"]["genesis_coins"] == 1
+    # the largest amount an unsigned 64-bit field holds pays and conserves
+    for protocol in ("prism", "longest_chain"):
+        cfg = resolve({
+            "protocol": protocol,
+            "duration": 2.0,
+            "topology": {"nodes": 4, "degree": 2},
+            "prism": {"m": 5},
+            "workload": {"coin_value": 2**64 - 1},
+        })
+        result = run(cfg, seed=0)
+        assert result.sim.generated_txs > 0 and result.report.conservation_ok
 
 
 @pytest.mark.parametrize(
@@ -74,6 +85,8 @@ def test_defaults_profiles_and_edge_values_still_resolve():
         ({"duration": "5"}, "duration"),
         # OverflowError: an integer too large for a float
         ({"duration": 10**400}, "duration"),
+        # struct.error in u64 at the first payment's serialization
+        ({"workload": {"coin_value": 2**64}}, "workload.coin_value"),
     ],
 )
 def test_values_that_crashed_or_bent_a_run_rejected_by_name(overlay, field):

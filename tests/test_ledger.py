@@ -244,7 +244,7 @@ def test_conservation_zero_fee_and_with_fee():
     for tx in (t1, t2):
         fees.append(sum(working[i.id].value for i in tx.inputs) - sum(o.value for o in tx.outputs))
         assert execute(tx, working, SCHEME) is APPLIED
-    assert conservation_check(before, [t1, t2], working, fees)
+    assert conservation_check(before, working, fees)
     assert total_value(working) == before - 5
 
 

@@ -398,9 +398,11 @@ def test_both_protocols_report_runtime():
 
 
 # prints one digest per config: deterministic report, confirmation trace,
-# latency samples and, for the longest chain, the confirmed blocks
+# latency samples and, for the longest chain, the confirmed blocks; then
+# the scipy modules loaded by the run path (scipy is a test-only oracle)
 _DIGEST_RUNS = """
 import hashlib, json, sys
+import prismsim.adversary, prismsim.cli
 from prismsim.config import resolve
 from prismsim.netsim import run
 for overlay in json.loads(sys.argv[1]):
@@ -413,6 +415,7 @@ for overlay in json.loads(sys.argv[1]):
         "confirmed": [d.hex() for d in getattr(sim, "confirmed_blocks", [])],
     }
     print(hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest())
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
@@ -425,6 +428,8 @@ def test_runs_identical_across_processes_and_hash_seeds():
             [sys.executable, "-c", _DIGEST_RUNS, json.dumps([PRISM_SMALL, LC_SMALL])],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        outputs.append(proc.stdout.split())
+        *digests, scipy_modules = proc.stdout.splitlines()
+        assert json.loads(scipy_modules) == []
+        outputs.append(digests)
     assert len(outputs[0]) == 2
     assert outputs[0] == outputs[1]
