@@ -479,9 +479,6 @@ class ChainState:
         tree = self.voter_trees[tree_index]
         return tree.walk_from_genesis(tree.tip)
 
-    def get_vote_and_depth(self, chain_index: int, level: int) -> tuple[bytes, int] | None:
-        return self.voter_trees[chain_index].vote_and_depth(level)
-
     def candidates_at(self, level: int) -> list[bytes]:
         """Proposer candidates at a level: stored blocks first (arrival
         order), then any digests known only through votes."""

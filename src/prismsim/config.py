@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import sys
 from typing import Any
 
@@ -159,9 +160,11 @@ def validate(cfg: dict) -> None:
         raise ConfigError("topology.kind", f"unknown kind {topo['kind']!r}")
     if topo["nodes"] < 1:
         raise ConfigError("topology.nodes", "must be >= 1")
+    if topo["degree"] < 0:
+        raise ConfigError("topology.degree", "must be >= 0")
     if topo["kind"] == "regular":
         n, d = topo["nodes"], topo["degree"]
-        if d < 0 or d >= n or (n * d) % 2 != 0:
+        if d >= n or (n * d) % 2 != 0:
             raise ConfigError("topology.degree", f"no {d}-regular graph on {n} nodes")
         # build_topology redraws until the graph is connected, which a
         # 0- or 1-regular graph never is beyond two nodes
@@ -201,14 +204,16 @@ def validate(cfg: dict) -> None:
         raise ConfigError("adversary.strategy", f"must be one of {strategies}")
     if adv["strategy"] != "none":
         beta = adv["fraction"]
-        if beta < 0:
-            raise ConfigError("adversary.fraction", "must be >= 0")
+        if not 0 <= beta <= 1:
+            raise ConfigError("adversary.fraction", "must lie in [0, 1]")
         if beta >= 0.5 and not cfg["allow_high_beta"]:
             raise ConfigError(
                 "beta", f"adversary fraction {beta} >= 0.5 requires allow_high_beta"
             )
     if adv["target_level"] < 1:
         raise ConfigError("adversary.target_level", "must be >= 1")
+    if adv["release_margin"] < 0:
+        raise ConfigError("adversary.release_margin", "must be >= 0")
     if adv["release_timeout_fraction"] < 0:
         raise ConfigError("adversary.release_timeout_fraction", "must be >= 0")
     n = topo["nodes"]
@@ -246,6 +251,42 @@ def validate(cfg: dict) -> None:
     for key, value in cfg["sizes"].items():
         if value < 0:
             raise ConfigError(f"sizes.{key}", "must be >= 0")
+
+    # what a run builds (the genesis coins, one by one) and schedules
+    duration = cfg["duration"]
+    payments = _payment_rates(cfg)
+    coins = {field: rate * duration * 1.25 for field, rate in payments.items()}
+    if workload["genesis_coins"] is not None:
+        coins = {"workload.genesis_coins": workload["genesis_coins"]}
+    rates = {**payments, "checkpoint_interval": 1.0 / cfg["checkpoint_interval"]}
+    if cfg["protocol"] == "prism":
+        rates["prism.rate_voter_per_chain"] = prism["m"] * prism["rate_voter_per_chain"]
+        rates["prism.rate_tx"] = prism["rate_tx"]
+        rates["prism.rate_prop"] = prism["rate_prop"]
+    else:
+        rates["longest_chain.rate"] = lc["rate"]
+    events = {field: rate * duration for field, rate in rates.items()}
+    # a genesis coin costs about 360 bytes and 3 us to build; events count
+    # the mining, payment and checkpoint draws, not block arrivals
+    for what, counts, limit in (("genesis coins", coins, 10**6), ("events", events, 10**7)):
+        if sum(counts.values()) > limit:
+            raise ConfigError(max(counts, key=counts.get), f"the run would make over {limit} {what}")
+
+
+def _payment_rates(cfg: dict) -> dict[str, float]:
+    """Payments per second by field: the workload and, in Prism, spam."""
+    rates = {"workload.tps": cfg["workload"]["tps"]}
+    if cfg["protocol"] == "prism" and cfg["spam"]["enabled"]:
+        rates["spam.tps"] = cfg["spam"]["tps"]
+    return rates
+
+
+def genesis_coin_count(cfg: dict) -> int:
+    """``workload.genesis_coins``, or by default enough coins for each
+    payment stream over the run with a 25% margin."""
+    if cfg["workload"]["genesis_coins"] is not None:
+        return cfg["workload"]["genesis_coins"]
+    return sum(math.ceil(tps * cfg["duration"] * 1.25) + 10 for tps in _payment_rates(cfg).values())
 
 
 def adversarial_count(cfg: dict) -> int:

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from statistics import NormalDist
 from typing import Callable, Iterable
 
 from .chain import ChainState
 from .crypto import SignatureScheme
-from .ledger import CoinId, Transaction, Utxo, execute_with_fee, sanitize
+from .ledger import CoinId, Transaction, Utxo, execute_with_fee
 from .serialize import hex_digest
 
 
@@ -30,10 +29,6 @@ class ConfirmationError(Exception):
 
 class MissingBlockError(ConfirmationError):
     """A referenced block is not in the local store; sync before building."""
-
-
-class ListDecodingCapExceeded(ConfirmationError):
-    """The proposer-set cross product exceeds the configured ledger cap."""
 
 
 def adversary_depth(mean_depth: float, fork_rate: float, beta: float) -> float:
@@ -177,14 +172,6 @@ def candidate_stats(
         mu += p
         var += p * (1.0 - p)
     return mu, math.sqrt(var)
-
-
-def candidate_lower_bound(
-    depths: Iterable[int], private_depth: float, beta: float, epsilon: float
-) -> float:
-    """Epsilon-quantile lower bound on permanent votes, floored at zero."""
-    mu, sigma = candidate_stats(depths, private_depth, beta)
-    return max(0.0, mu - sigma * quantile_radius(epsilon))
 
 
 def confidence_bounds(tally: VoteTally) -> ConfidenceBounds:
@@ -356,62 +343,6 @@ def build_ledger(
     for leader in leader_sequence:
         ledger += expand_proposer(leader, state, included_prp, included_tx)
     return ledger
-
-
-def confirmed_ledger(
-    state: ChainState,
-    beta: float,
-    epsilon: float,
-    scheme: SignatureScheme,
-    initial_utxo: dict[CoinId, Utxo],
-) -> tuple[list[bytes], list[Transaction], list[Transaction], dict[CoinId, Utxo]]:
-    """Walk levels until the first unconfirmed leader, then build and
-    sanitize the ledger of the confirmed prefix.
-
-    Returns (leaders, raw ledger, sanitized ledger, final UTXO set).
-    """
-    leaders: list[bytes] = []
-    for level in range(1, state.max_proposer_level() + 1):
-        decision = try_confirm_leader(make_tally(state, level, beta, epsilon))
-        if not decision.confirmed:
-            break
-        leaders.append(decision.leader)
-    raw = [tx for tx, _ in build_ledger(leaders, state)]
-    sanitized, final = sanitize(raw, dict(initial_utxo), scheme)
-    return leaders, raw, sanitized, final
-
-
-def is_tx_confirmed(
-    tx: Transaction,
-    state: ChainState,
-    beta: float,
-    epsilon: float,
-    scheme: SignatureScheme,
-    initial_utxo: dict[CoinId, Utxo],
-    max_ledgers: int = 256,
-) -> bool:
-    """Fast list-decoding confirmation.
-
-    True iff the transaction survives sanitization in every ledger built
-    from the cross product of the per-level confirmed proposer sets.
-    """
-    level_sets: list[tuple[bytes, ...]] = []
-    for level in range(1, state.max_proposer_level() + 1):
-        decision = try_confirm_proposer_set(make_tally(state, level, beta, epsilon))
-        if not decision.confirmed:
-            break
-        level_sets.append(decision.candidates)
-    if not level_sets:
-        return False
-    count = math.prod(len(s) for s in level_sets)
-    if count > max_ledgers:
-        raise ListDecodingCapExceeded(f"{count} ledgers exceed the cap of {max_ledgers}")
-    for combo in product(*level_sets):
-        raw = [t for t, _ in build_ledger(combo, state)]
-        applied, _ = sanitize(raw, dict(initial_utxo), scheme)
-        if not any(t.digest == tx.digest for t in applied):
-            return False
-    return True
 
 
 # --- incremental engine for simulation runs -----------------------------------

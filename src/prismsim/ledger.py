@@ -7,7 +7,7 @@ a scoreboard-gated worker pool.
 """
 from __future__ import annotations
 
-import json
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -229,6 +229,12 @@ def sanitize(
     return applied, utxo_set
 
 
+# worker pools by size, kept for the process; threads start on first use,
+# and a forked child inherits the pools but not their threads
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+os.register_at_fork(after_in_child=_POOLS.clear)
+
+
 def sanitize_parallel(
     txs: Sequence[Transaction],
     utxo_set: dict[CoinId, Utxo],
@@ -273,20 +279,20 @@ def sanitize_parallel(
             in_flight -= 1
             done.notify_all()
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for pos in range(n):
-            with done:
-                # A colliding transaction blocks the dispatcher, which keeps
-                # every later transaction behind it: dispatch order is the
-                # original order whenever coins are shared.
-                while not scoreboard.isdisjoint(coin_sets[pos]):
-                    done.wait()
-                scoreboard.update(coin_sets[pos])
-                in_flight += 1
-            pool.submit(run_one, pos)
+    pool = _POOLS.get(workers) or _POOLS.setdefault(workers, ThreadPoolExecutor(workers))
+    for pos in range(n):
         with done:
-            while in_flight:
+            # A colliding transaction blocks the dispatcher, which keeps
+            # every later transaction behind it: dispatch order is the
+            # original order whenever coins are shared.
+            while not scoreboard.isdisjoint(coin_sets[pos]):
                 done.wait()
+            scoreboard.update(coin_sets[pos])
+            in_flight += 1
+        pool.submit(run_one, pos)
+    with done:
+        while in_flight:
+            done.wait()
 
     ledger = [txs[i] for i in range(n) if applied_flags[i]]
     return ledger, utxo_set
@@ -301,26 +307,3 @@ def conservation_check(
 
 def total_value(utxo_set: dict[CoinId, Utxo]) -> int:
     return sum(u.value for u in utxo_set.values())
-
-
-def export_snapshot(utxo_set: dict[CoinId, Utxo]) -> str:
-    """Canonical JSON snapshot, sorted by (txid, index)."""
-    rows = [
-        {"txid": u.txid.hex(), "index": u.index, "value": u.value, "owner": u.owner.hex()}
-        for u in utxo_set.values()
-    ]
-    rows.sort(key=lambda r: (r["txid"], r["index"]))
-    return json.dumps(rows, separators=(",", ":"))
-
-
-def import_snapshot(text: str) -> dict[CoinId, Utxo]:
-    utxo_set: dict[CoinId, Utxo] = {}
-    for row in json.loads(text):
-        utxo = Utxo(
-            txid=bytes.fromhex(row["txid"]),
-            index=row["index"],
-            value=row["value"],
-            owner=bytes.fromhex(row["owner"]),
-        )
-        utxo_set[utxo.id] = utxo
-    return utxo_set

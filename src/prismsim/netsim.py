@@ -19,11 +19,11 @@ sections.
 from __future__ import annotations
 
 import heapq
-import math
+import random
 import time
 from dataclasses import dataclass
+from itertools import combinations, count
 
-import networkx as nx
 import numpy as np
 
 from .blocks import (
@@ -36,7 +36,7 @@ from .blocks import (
     validate_block,
 )
 from .chain import ChainState
-from .config import adversarial_count, config_digest
+from .config import adversarial_count, config_digest, genesis_coin_count
 from .confirmation import ConfirmationEngine
 from .crypto import get_scheme
 from .ledger import (
@@ -94,37 +94,99 @@ class Topology:
         return out
 
 
+def _random_regular_pairs(d: int, n: int, seed: int) -> set[tuple[int, int]]:
+    """The edges ``networkx.random_regular_graph(d, n, seed)`` (3.x) draws,
+    draw for draw: pair shuffled stubs, re-pair those of rejected pairs, and
+    restart on the same stream when no rejected pair can form an edge."""
+    rng = random.Random(seed)
+
+    def suitable(edges, potential_edges):
+        if not potential_edges:
+            return True
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                if s1 == s2:
+                    break
+                # the swap rebinds s1 for the rest of the inner loop; networkx
+                # does the same, and which pairs get checked depends on it
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    while True:
+        edges: set[tuple[int, int]] = set()
+        stubs = list(range(n)) * d
+        while stubs:
+            potential_edges: dict[int, int] = {}
+            rng.shuffle(stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] = potential_edges.get(s1, 0) + 1
+                    potential_edges[s2] = potential_edges.get(s2, 0) + 1
+            if not suitable(edges, potential_edges):
+                break
+            stubs = [node for node, potential in potential_edges.items() for _ in range(potential)]
+        else:
+            return edges
+
+
+def _graph(n: int, pairs) -> tuple[tuple[tuple[int, int], ...], list[dict[int, None]]]:
+    """Edges and adjacency of the graph on nodes 0..n-1 with ``pairs``.
+    Edges come as (low, high) in networkx ``Graph.edges()`` order: nodes
+    ascending, each node's neighbours in insertion order.  The order of
+    ``Node.neighbors``, and so of gossip, follows from it."""
+    adjacency: list[dict[int, None]] = [{} for _ in range(n)]
+    for u, v in pairs:
+        adjacency[u][v] = None
+        adjacency[v][u] = None
+    return tuple((u, v) for u in range(n) for v in adjacency[u] if v > u), adjacency
+
+
+def _hops_from(adjacency: list[dict[int, None]], source: int) -> list[int | None]:
+    """Breadth-first hop counts from ``source``; None where unreachable."""
+    hops: list[int | None] = [None] * len(adjacency)
+    hops[source] = 0
+    queue = [source]
+    for u in queue:
+        for v in adjacency[u]:
+            if hops[v] is None:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
+
+
 def build_topology(cfg: dict, seed: int) -> Topology:
     topo = cfg["topology"]
     n = topo["nodes"]
     kind = topo["kind"]
     if kind == "complete" or n == 1:
-        graph = nx.complete_graph(n)
+        edges, adjacency = _graph(n, combinations(range(n), 2))
     elif kind == "ring":
-        graph = nx.cycle_graph(n)
+        edges, adjacency = _graph(n, [(i, (i + 1) % n) for i in range(n)])
     else:
         rng_seed = int(np.random.default_rng([seed, 0xA11CE]).integers(2**31))
-        graph = nx.random_regular_graph(topo["degree"], n, seed=rng_seed)
-        attempts = 0
-        while not nx.is_connected(graph):
-            attempts += 1
-            graph = nx.random_regular_graph(topo["degree"], n, seed=rng_seed + attempts)
-    if n > 1 and not nx.is_connected(graph):
+        for attempt in count():
+            edges, adjacency = _graph(n, _random_regular_pairs(topo["degree"], n, rng_seed + attempt))
+            if None not in _hops_from(adjacency, 0):
+                break
+    # hop counts of the pairs u < v in (u, v) order, on which np.mean's rounding depends
+    hops = [hop for u in range(n) for hop in _hops_from(adjacency, u)[u + 1:]]
+    if None in hops:
         raise ValueError("topology: graph is not connected")
-    if n == 1:
-        diameter, mean_hops = 0, 0.0
-    else:
-        lengths = dict(nx.all_pairs_shortest_path_length(graph))
-        pairs = [lengths[u][v] for u in graph for v in graph if u < v]
-        diameter = max(pairs)
-        mean_hops = float(np.mean(pairs))
     return Topology(
         n=n,
-        edges=tuple((min(u, v), max(u, v)) for u, v in graph.edges()),
+        edges=edges,
         delay_s=topo["delay_s"],
         bandwidth=topo["bandwidth_bytes_per_s"],
-        diameter=diameter,
-        mean_hops=mean_hops,
+        diameter=max(hops, default=0),
+        mean_hops=float(np.mean(hops)) if hops else 0.0,
     )
 
 
@@ -196,18 +258,10 @@ class EventCore:
 
     # --- genesis and workload ----------------------------------------------------------
 
-    def _coins_for(self, tps: float) -> int:
-        """Genesis coins for a payment stream, with a 25% margin."""
-        return int(math.ceil(tps * self.duration * 1.25)) + 10
-
-    def _coin_budget(self) -> int:
-        return self._coins_for(self.cfg["workload"]["tps"])
-
     def _build_genesis_utxo(self) -> dict:
         wl = self.cfg["workload"]
-        count = wl["genesis_coins"] or self._coin_budget()
         utxo = {}
-        for i in range(count):
+        for i in range(genesis_coin_count(self.cfg)):
             owner = self.wallets[i % len(self.wallets)]
             coin = Utxo(b"genesis-coin" + i.to_bytes(8, "little") + bytes(12), 0, wl["coin_value"], owner.public)
             utxo[coin.id] = coin
@@ -492,13 +546,6 @@ class Simulation(EventCore):
             honest_count = n - 1
             return [beta if not honest_flags[i] else (1.0 - beta) / honest_count for i in range(n)]
         return [1.0 / n] * n
-
-    def _coin_budget(self) -> int:
-        budget = super()._coin_budget()
-        spam = self.cfg["spam"]
-        if spam["enabled"]:
-            budget += self._coins_for(spam["tps"])
-        return budget
 
     # --- events -------------------------------------------------------------------
 

@@ -93,13 +93,13 @@ def test_vote_depths_follow_main_chain():
     bench.mine("proposer")  # level 1, gives every chain a vote candidate
     vote_block = bench.mine("voter", chain_index=1)
     assert vote_block.content.votes  # carries the level-1 vote
-    assert bench.state.get_vote_and_depth(1, 1)[1] == 1  # vote in the tip
+    assert bench.state.voter_trees[1].vote_and_depth(1)[1] == 1  # vote in the tip
     for _ in range(3):
         bench.mine("voter", chain_index=1)
-    digest, depth = bench.state.get_vote_and_depth(1, 1)
+    digest, depth = bench.state.voter_trees[1].vote_and_depth(1)
     assert depth == 4  # 3 blocks after it, plus one
-    assert bench.state.get_vote_and_depth(0, 1) is None or True
-    assert bench.state.get_vote_and_depth(2, 99) is None  # never voted
+    assert bench.state.voter_trees[0].vote_and_depth(1) is None or True
+    assert bench.state.voter_trees[2].vote_and_depth(99) is None  # never voted
 
 
 def test_voter_reorg_recomputes_votes():
@@ -110,7 +110,7 @@ def test_voter_reorg_recomputes_votes():
     prp1 = bench.mine("proposer")  # level 1
     # main chain: vote for prp1 in block v1
     v1 = bench.mine("voter", chain_index=0)
-    assert bench.state.get_vote_and_depth(0, 1) == (prp1.digest, 1)
+    assert bench.state.voter_trees[0].vote_and_depth(1) == (prp1.digest, 1)
 
     # competing proposer at level 1 from another miner's view
     other = Bench(m=m, seed=5)
@@ -130,7 +130,7 @@ def test_voter_reorg_recomputes_votes():
     bench.state.receive_block(f1)
     changes = bench.state.receive_block(f2)
     assert "voter_tip:0" in changes
-    assert bench.state.get_vote_and_depth(0, 1) == (prp1b.digest, 2)
+    assert bench.state.voter_trees[0].vote_and_depth(1) == (prp1b.digest, 2)
     # tally reflects the switch
     assert bench.state.votes_by_level[1] == {prp1b.digest: 1}
 

@@ -61,6 +61,9 @@ def test_defaults_profiles_and_edge_values_still_resolve():
         assert result.sim.generated_txs > 0 and result.report.conservation_ok
 
 
+SMALL_RUN = {"duration": 2.0, "topology": {"nodes": 4, "degree": 2}, "prism": {"m": 5}}
+
+
 @pytest.mark.parametrize(
     "overlay, field",
     [
@@ -87,6 +90,22 @@ def test_defaults_profiles_and_edge_values_still_resolve():
         ({"duration": 10**400}, "duration"),
         # struct.error in u64 at the first payment's serialization
         ({"workload": {"coin_value": 2**64}}, "workload.coin_value"),
+        # the genesis set was built coin by coin until memory ran out, or
+        # OverflowError in to_bytes above 2**64 coins
+        ({**SMALL_RUN, "workload": {"tps": 1e300}}, "workload.tps"),
+        ({**SMALL_RUN, "workload": {"genesis_coins": 2**70}}, "workload.genesis_coins"),
+        # mining or checkpoint events too close together to reach the end
+        ({**SMALL_RUN, "prism": {"m": 5, "rate_tx": 1e300}}, "prism.rate_tx"),
+        ({**SMALL_RUN, "checkpoint_interval": 1e-300}, "checkpoint_interval"),
+        # ignored on ring and complete graphs, but no graph has a negative degree
+        ({"topology": {"kind": "ring", "nodes": 4, "degree": -1}}, "topology.degree"),
+        ({"topology": {"kind": "complete", "nodes": 4, "degree": -3}}, "topology.degree"),
+        # released the private chain with no winning margin
+        ({"adversary": {"release_margin": -1}}, "adversary.release_margin"),
+        # gave the honest nodes negative hash power; at 1e6 the attacker's
+        # blocks came too close together for a 2 s run to finish
+        ({**SMALL_RUN, "allow_high_beta": True,
+          "adversary": {"strategy": "private_double_spend", "fraction": 1.5}}, "adversary.fraction"),
     ],
 )
 def test_values_that_crashed_or_bent_a_run_rejected_by_name(overlay, field):

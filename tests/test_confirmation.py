@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,16 +20,13 @@ from helpers import (
 from prismsim.chain import ChainState
 from prismsim.confirmation import (
     ConfirmationEngine,
-    ListDecodingCapExceeded,
     MissingBlockError,
     VoteCandidate,
     VoteTally,
     adversary_depth,
     build_ledger,
-    candidate_lower_bound,
+    candidate_stats,
     confidence_bounds,
-    confirmed_ledger,
-    is_tx_confirmed,
     make_tally,
     quantile_radius,
     try_confirm_leader,
@@ -36,6 +34,58 @@ from prismsim.confirmation import (
     vote_permanence,
 )
 from prismsim.ledger import sanitize
+
+
+def candidate_lower_bound(depths, private_depth, beta, epsilon):
+    """Epsilon-quantile lower bound on permanent votes, floored at zero,
+    as ``confidence_bounds`` computes it for each candidate."""
+    mu, sigma = candidate_stats(depths, private_depth, beta)
+    return max(0.0, mu - sigma * quantile_radius(epsilon))
+
+
+def confirmed_ledger(state, beta, epsilon, scheme, initial_utxo):
+    """Walk levels until the first unconfirmed leader, then build and
+    sanitize the ledger of the confirmed prefix: a from-scratch oracle for
+    the confirmation engine.
+
+    Returns (leaders, raw ledger, sanitized ledger, final UTXO set).
+    """
+    leaders = []
+    for level in range(1, state.max_proposer_level() + 1):
+        decision = try_confirm_leader(make_tally(state, level, beta, epsilon))
+        if not decision.confirmed:
+            break
+        leaders.append(decision.leader)
+    raw = [tx for tx, _ in build_ledger(leaders, state)]
+    sanitized, final = sanitize(raw, dict(initial_utxo), scheme)
+    return leaders, raw, sanitized, final
+
+
+class ListDecodingCapExceeded(Exception):
+    """The proposer-set cross product exceeds the ledger cap."""
+
+
+def is_tx_confirmed(tx, state, beta, epsilon, scheme, initial_utxo, max_ledgers=256):
+    """Fast list-decoding confirmation by brute force: True iff the
+    transaction survives sanitization in every ledger built from the cross
+    product of the per-level confirmed proposer sets."""
+    level_sets = []
+    for level in range(1, state.max_proposer_level() + 1):
+        decision = try_confirm_proposer_set(make_tally(state, level, beta, epsilon))
+        if not decision.confirmed:
+            break
+        level_sets.append(decision.candidates)
+    if not level_sets:
+        return False
+    count = math.prod(len(s) for s in level_sets)
+    if count > max_ledgers:
+        raise ListDecodingCapExceeded(f"{count} ledgers exceed the cap of {max_ledgers}")
+    for combo in product(*level_sets):
+        raw = [t for t, _ in build_ledger(combo, state)]
+        applied, _ = sanitize(raw, dict(initial_utxo), scheme)
+        if not any(t.digest == tx.digest for t in applied):
+            return False
+    return True
 
 
 # --- private-chain depth estimate ----------------------------------------------

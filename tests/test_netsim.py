@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy import stats
@@ -68,6 +69,53 @@ def test_topology_generators():
         degs[u] += 1
         degs[v] += 1
     assert all(d == 4 for d in degs)
+
+
+def networkx_topology(kind, n, degree, seed):
+    """The edges, diameter and mean hop count ``build_topology`` gave when
+    it drew its graphs with networkx."""
+    if kind == "complete" or n == 1:
+        graph = nx.complete_graph(n)
+    elif kind == "ring":
+        graph = nx.cycle_graph(n)
+    else:
+        rng_seed = int(np.random.default_rng([seed, 0xA11CE]).integers(2**31))
+        graph = nx.random_regular_graph(degree, n, seed=rng_seed)
+        attempts = 0
+        while not nx.is_connected(graph):
+            attempts += 1
+            graph = nx.random_regular_graph(degree, n, seed=rng_seed + attempts)
+    if n == 1:
+        return (), 0, 0.0
+    lengths = dict(nx.all_pairs_shortest_path_length(graph))
+    pairs = [lengths[u][v] for u in graph for v in graph if u < v]
+    edges = tuple((min(u, v), max(u, v)) for u, v in graph.edges())
+    return edges, max(pairs), float(np.mean(pairs))
+
+
+# the pairing model restarts when no rejected stub pair could still form an
+# edge: (4, 2, 0), (7, 4, 5) and (8, 5, 1) restart, and the last two draw
+# other graphs unless the suitability check rebinds s1 as networkx does
+TOPOLOGY_GRID = sorted(
+    {
+        (kind, n, degree, seed)
+        for kind in ("regular", "ring", "complete")
+        for n in [*range(1, 13), 21, 40]
+        for degree in (2, 3, 4, 5, 6, 8)
+        for seed in range(3)
+        if kind != "regular" or (degree < n and n * degree % 2 == 0)
+    }
+    | {("regular", 4, 2, 0), ("regular", 7, 4, 5), ("regular", 8, 5, 1), ("regular", 100, 6, 0)}
+)
+
+
+def test_topology_matches_networkx_oracle():
+    for kind, n, degree, seed in TOPOLOGY_GRID:
+        cfg = resolve({"topology": {"kind": kind, "nodes": n, "degree": degree}})
+        topo = build_topology(cfg, seed)
+        assert (topo.edges, topo.diameter, topo.mean_hops) == networkx_topology(
+            kind, n, degree, seed
+        ), (kind, n, degree, seed)
 
 
 def test_link_delay_formula_idle_link():
@@ -399,7 +447,8 @@ def test_both_protocols_report_runtime():
 
 # prints one digest per config: deterministic report, confirmation trace,
 # latency samples and, for the longest chain, the confirmed blocks; then
-# the scipy modules loaded by the run path (scipy is a test-only oracle)
+# the scipy and networkx modules loaded by the run path (both are
+# test-only oracles)
 _DIGEST_RUNS = """
 import hashlib, json, sys
 import prismsim.adversary, prismsim.cli
@@ -415,7 +464,7 @@ for overlay in json.loads(sys.argv[1]):
         "confirmed": [d.hex() for d in getattr(sim, "confirmed_blocks", [])],
     }
     print(hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest())
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "networkx"))))
 """
 
 
@@ -428,8 +477,8 @@ def test_runs_identical_across_processes_and_hash_seeds():
             [sys.executable, "-c", _DIGEST_RUNS, json.dumps([PRISM_SMALL, LC_SMALL])],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        *digests, scipy_modules = proc.stdout.splitlines()
-        assert json.loads(scipy_modules) == []
+        *digests, oracle_modules = proc.stdout.splitlines()
+        assert json.loads(oracle_modules) == []
         outputs.append(digests)
     assert len(outputs[0]) == 2
     assert outputs[0] == outputs[1]
