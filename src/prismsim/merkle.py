@@ -21,44 +21,32 @@ class MerkleProof:
 class MerkleTree:
     """Every level of one Merkle tree, from the leaf hashes to the root.
 
-    ``update`` commits to a new leaf list.  With the leaf count unchanged
-    it rehashes only the dirty leaves and the nodes on their paths; a new
-    count rebuilds every level.  The root and all proofs are read from the
-    stored levels.  A level of odd width keeps no copy of its last node:
-    its parent pairs that node with itself.
+    The tree is built once over its leaves and keeps their count.  A
+    caller that rewrites some of ``leaves`` in place then names them to
+    ``update``, which rehashes those leaves and the nodes on their paths.
+    The root and all proofs are read from the stored levels.  A level of
+    odd width keeps no copy of its last node: its parent pairs that node
+    with itself.
     """
 
-    def __init__(self) -> None:
-        self.leaves: list[bytes] = []
-        self.levels: list[list[bytes]] = []  # leaf hashes first, root last
+    def __init__(self, leaves: Sequence[bytes]) -> None:
+        if not leaves:
+            raise ValueError("merkle tree requires at least one leaf")
+        self.leaves = list(leaves)
+        hashes = list(map(sha256, self.leaves))
+        self.levels = [hashes]  # leaf hashes first, root last
+        while len(hashes) > 1:
+            hashes = _pair_up(hashes)
+            self.levels.append(hashes)
 
     @property
     def root(self) -> bytes:
         return self.levels[-1][0]
 
-    def update(self, leaves: Sequence[bytes], dirty: Collection[int] | None = None) -> bytes:
-        """Commit to ``leaves`` and return the new root.
-
-        ``dirty`` holds the distinct indexes whose bytes may differ from
-        the committed list; the caller may then pass the tree's own
-        ``leaves`` list, edited in place.  Without it the two lists are
-        compared leaf by leaf.
-        """
-        if not leaves:
-            raise ValueError("merkle tree requires at least one leaf")
-        if len(leaves) != len(self.leaves):
-            self.leaves = list(leaves)
-            hashes = list(map(sha256, self.leaves))
-            self.levels = [hashes]
-            while len(hashes) > 1:
-                hashes = _pair_up(hashes)
-                self.levels.append(hashes)
-            return self.root
-        if dirty is None:
-            dirty = [i for i, (old, new) in enumerate(zip(self.leaves, leaves)) if old != new]
-        if leaves is not self.leaves:
-            self.leaves = list(leaves)
-        hashes = self.levels[0]
+    def update(self, dirty: Collection[int]) -> bytes:
+        """Rehash the leaves at the distinct indexes ``dirty``, rewritten
+        in ``leaves`` since the last commit, and return the new root."""
+        leaves, hashes = self.leaves, self.levels[0]
         for i in dirty:
             hashes[i] = sha256(leaves[i])
         for below, level in zip(self.levels, self.levels[1:]):
@@ -75,7 +63,7 @@ class MerkleTree:
         return self.root
 
     def prove(self, index: int) -> MerkleProof:
-        """Inclusion proof for the leaf at ``index`` of the committed list."""
+        """Inclusion proof for the leaf at ``index``."""
         if not 0 <= index < len(self.leaves):
             raise IndexError(f"leaf index {index} out of range for {len(self.leaves)} leaves")
         siblings = []
@@ -95,13 +83,11 @@ def _pair_up(below: list[bytes]) -> list[bytes]:
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
-    return MerkleTree().update(leaves)
+    return MerkleTree(leaves).root
 
 
 def merkle_prove(leaves: Sequence[bytes], index: int) -> MerkleProof:
-    tree = MerkleTree()
-    tree.update(leaves)
-    return tree.prove(index)
+    return MerkleTree(leaves).prove(index)
 
 
 def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof) -> bool:

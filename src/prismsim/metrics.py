@@ -7,7 +7,7 @@ sub-object so determinism checks can ignore it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -57,25 +57,7 @@ class MetricsReport:
     wallclock: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "duration": self.duration,
-            "steady_state_start": self.steady_state_start,
-            "topology": self.topology,
-            "blocks": self.blocks,
-            "throughput": self.throughput,
-            "latency": self.latency,
-            "forking": self.forking,
-            "confirmation": self.confirmation,
-            "attack": self.attack,
-            "spam": self.spam,
-            "mempool_final": self.mempool_final,
-            "invalid_blocks": self.invalid_blocks,
-            "conservation_ok": self.conservation_ok,
-            "wallclock": self.wallclock,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

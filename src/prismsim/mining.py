@@ -10,13 +10,14 @@ selected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .blocks import (
     PROPOSER,
-    TRANSACTION,
     Block,
+    Content,
     Header,
     ProposerContent,
     SortitionParams,
@@ -108,9 +109,9 @@ def schedule_mining(
 
 
 class LastSuperblock:
-    """One miner's last superblock: its (parents, contents) Merkle trees,
-    the vote list object behind each voter content leaf, and where its
-    context came from.
+    """One miner's last superblock: its (parents, contents) Merkle trees
+    (None before its first block), the vote list object behind each voter
+    content leaf, and where its context came from.
 
     The next context from the same source state rewrites only the voter
     slots that state reports changed since, and the slots either context
@@ -118,16 +119,22 @@ class LastSuperblock:
     """
 
     def __init__(self) -> None:
-        self.parents = MerkleTree()
-        self.contents = MerkleTree()
-        self.votes: list[list[tuple[int, bytes]]] = []
+        self.parents: MerkleTree | None = None
+        self.contents: MerkleTree | None = None
+        self.votes: list[list[tuple[int, bytes]] | None] = []
         self.source: ChainState | None = None
         self.epoch = 0
         self.replaced: set[int] = set()
 
 
-def _voter_leaf(votes: list[tuple[int, bytes]]) -> bytes:
-    return serialize_content(VoterContent(tuple(votes)))
+def _content(ctx: MinerContext, index: int) -> Content:
+    """The sub-block content at ``index`` of the committed layout."""
+    m = len(ctx.votes)
+    if index < m:
+        return VoterContent(tuple(ctx.votes[index]))
+    if index == m:
+        return TransactionContent(tuple(ctx.txs))
+    return ProposerContent(ctx.unref_prp_refs, ctx.unref_tx_refs)
 
 
 def assemble_superblock(
@@ -140,49 +147,49 @@ def assemble_superblock(
     m+1.  The transaction slot's parent is the proposer parent.  ``last``
     is the miner's previous superblock, which then holds this one; the
     leaf lists returned are its trees' own, valid until its next
-    assembly.  Without it everything is built afresh.
+    assembly.  A context from another source state, or of another width,
+    is written over an empty superblock, as it is without ``last``.
     """
     last = last or LastSuperblock()
-    if ctx.source is None or ctx.source is not last.source or len(last.votes) != len(ctx.votes):
-        parents = list(ctx.vt_parent)
-        parents += (ctx.prp_parent, ctx.prp_parent)
-        contents = [_voter_leaf(votes) for votes in ctx.votes]
-        contents += (_tx_leaf(ctx), _prp_leaf(ctx))
-        last.votes = list(ctx.votes)
-        last.parents.update(parents)
-        last.contents.update(contents)
+    m = len(ctx.votes)
+    if ctx.source is not None and ctx.source is last.source and len(last.votes) == m:
+        slots = set(ctx.source.slots_changed_since(min(ctx.epoch, last.epoch)))
+        slots.update(ctx.replaced, last.replaced)
+        dirty_parents, dirty_contents = _write_slots(
+            ctx, slots, last.parents.leaves, last.contents.leaves, last.votes
+        )
+        last.parents.update(dirty_parents)
+        last.contents.update(dirty_contents)
     else:
-        dirty_parents, dirty_contents = _patch_slots(ctx, last)
-        last.parents.update(last.parents.leaves, dirty_parents)
-        last.contents.update(last.contents.leaves, dirty_contents)
+        parents, contents = [b""] * (m + 2), [b""] * (m + 2)
+        last.votes = [None] * m
+        _write_slots(ctx, range(m), parents, contents, last.votes)
+        last.parents, last.contents = MerkleTree(parents), MerkleTree(contents)
     last.source = ctx.source
     last.epoch = ctx.epoch
     last.replaced = set(ctx.replaced)
     return last.parents.leaves, last.contents.leaves, last.parents.root, last.contents.root
 
 
-def _tx_leaf(ctx: MinerContext) -> bytes:
-    return serialize_content(TransactionContent(tuple(ctx.txs)))
+def _write_slots(
+    ctx: MinerContext,
+    slots: Iterable[int],
+    parents: list[bytes],
+    contents: list[bytes],
+    kept_lists: list[list[tuple[int, bytes]] | None],
+) -> tuple[list[int], list[int]]:
+    """Write ``ctx`` into the leaf lists over the voter ``slots`` and the
+    transaction and proposer slots, and return the indexes whose bytes
+    changed in each list.
 
-
-def _prp_leaf(ctx: MinerContext) -> bytes:
-    return serialize_content(ProposerContent(ctx.unref_prp_refs, ctx.unref_tx_refs))
-
-
-def _patch_slots(ctx: MinerContext, last: LastSuperblock) -> tuple[list[int], list[int]]:
-    """Write ``ctx`` into ``last``'s leaf lists over the slots that may
-    differ, and return the indexes whose bytes changed in each tree.
-
-    A vote list one vote longer than the one it follows extends that
-    leaf's bytes instead of serializing the list again.
+    ``kept_lists`` holds the vote list behind each voter content leaf
+    (None where there is none yet).  A vote list one vote longer than the
+    one it follows extends that leaf's bytes instead of serializing the
+    list again.
     """
-    parents = last.parents.leaves
-    contents = last.contents.leaves
-    slots = set(ctx.source.slots_changed_since(min(ctx.epoch, last.epoch)))
-    slots.update(ctx.replaced, last.replaced)
     dirty_parents = []
     dirty_contents = []
-    vt_parent, vote_lists, kept_lists = ctx.vt_parent, ctx.votes, last.votes
+    vt_parent, vote_lists = ctx.vt_parent, ctx.votes
     for i in slots:
         if vt_parent[i] != parents[i]:
             parents[i] = vt_parent[i]
@@ -192,19 +199,20 @@ def _patch_slots(ctx: MinerContext, last: LastSuperblock) -> tuple[list[int], li
         if votes is old:
             continue
         kept_lists[i] = votes
-        if len(votes) == len(old) + 1 and votes[:-1] == old:
+        if old is not None and len(votes) == len(old) + 1 and votes[:-1] == old:
             level, digest = votes[-1]
             leaf = u32(len(votes)) + contents[i][4:] + u64(level) + digest
         else:
-            leaf = _voter_leaf(votes)
+            leaf = serialize_content(_content(ctx, i))
         if leaf != contents[i]:
             contents[i] = leaf
             dirty_contents.append(i)
-    m = len(ctx.votes)
-    for i, leaf in ((m, _tx_leaf(ctx)), (m + 1, _prp_leaf(ctx))):
+    m = len(vote_lists)
+    for i in (m, m + 1):
         if ctx.prp_parent != parents[i]:
             parents[i] = ctx.prp_parent
             dirty_parents.append(i)
+        leaf = serialize_content(_content(ctx, i))
         if leaf != contents[i]:
             contents[i] = leaf
             dirty_contents.append(i)
@@ -226,25 +234,15 @@ def finish_mining(
     """
     last = last or LastSuperblock()
     parents, _, parent_root, content_root = assemble_superblock(ctx, params, last)
-    header = Header(parent_root, content_root, nonce)
     block_type = sortition(u, params)
     index = block_type.leaf_index(params.m)
-    if block_type.kind == TRANSACTION:
-        content = TransactionContent(tuple(ctx.txs))
-        level = 0
-    elif block_type.kind == PROPOSER:
-        content = ProposerContent(ctx.unref_prp_refs, ctx.unref_tx_refs)
-        level = ctx.prp_parent_level + 1
-    else:
-        content = VoterContent(tuple(ctx.votes[block_type.chain_index]))
-        level = 0
     return Block(
-        header=header,
+        header=Header(parent_root, content_root, nonce),
         block_type=block_type,
         parent_leaf=parents[index],
-        content=content,
+        content=_content(ctx, index),
         parent_proof=last.parents.prove(index),
         content_proof=last.contents.prove(index),
         miner_id=ctx.miner_id,
-        level=level,
+        level=ctx.prp_parent_level + 1 if block_type.kind == PROPOSER else 0,
     )

@@ -48,6 +48,9 @@ def test_defaults_profiles_and_edge_values_still_resolve():
         "adversary": {"target_level": 1},
     }
     assert resolve(edge)["workload"]["genesis_coins"] == 1
+    # the paper's scale: 1000 nodes, at m = 1000 too
+    for profile in PROFILES:
+        resolve({"topology": {"nodes": 1000, "degree": 6}}, profile=profile)
     # the largest amount an unsigned 64-bit field holds pays and conserves
     for protocol in ("prism", "longest_chain"):
         cfg = resolve({
@@ -106,6 +109,12 @@ SMALL_RUN = {"duration": 2.0, "topology": {"nodes": 4, "degree": 2}, "prism": {"
         # blocks came too close together for a 2 s run to finish
         ({**SMALL_RUN, "allow_high_beta": True,
           "adversary": {"strategy": "private_double_spend", "fraction": 1.5}}, "adversary.fraction"),
+        # set-up that would not finish: one breadth-first search per node
+        # (about 40 min on a 100,000-node ring), a voter tree per node and
+        # chain, a key pair per wallet
+        ({"topology": {"kind": "ring", "nodes": 100_000}}, "topology.nodes"),
+        ({"topology": {"nodes": 1000, "degree": 6}, "prism": {"m": 1001}}, "prism.m"),
+        ({"workload": {"wallets": 10**5 + 1}}, "workload.wallets"),
     ],
 )
 def test_values_that_crashed_or_bent_a_run_rejected_by_name(overlay, field):

@@ -95,6 +95,8 @@ def test_proof_length_for_1002_leaves_is_10():
 def test_empty_leaf_list_is_an_error():
     with pytest.raises(ValueError):
         merkle_root([])
+    with pytest.raises(ValueError):
+        MerkleTree([])
     with pytest.raises(IndexError):
         merkle_prove([b"a"], 1)
 
@@ -117,27 +119,33 @@ def edit_sequences(draw):
 @settings(max_examples=60, deadline=None)
 @given(edit_sequences())
 def test_incremental_tree_equals_full_rebuild(rounds):
-    tree = MerkleTree()
+    tree = None
     leaves: list[bytes] = []
     for size, edits in rounds:
         # leaves keep their bytes across a resize where they still fit
         leaves = (leaves + [b"leaf%d" % i for i in range(len(leaves), size)])[:size]
         for index, value in edits:
             leaves[index] = value
-        root = tree.update(leaves)
-        assert root == tree.root == merkle_root(leaves) == reference_root(leaves)
+        if tree is None or len(tree.leaves) != size:
+            tree = MerkleTree(leaves)  # a new leaf count takes a new tree
+        else:
+            for index, value in edits:
+                tree.leaves[index] = value
+            tree.update({index for index, _ in edits})
+        root = tree.root
+        assert tree.leaves == leaves
+        assert root == merkle_root(leaves) == reference_root(leaves)
         for i, leaf in enumerate(leaves):
             assert merkle_verify(root, leaf, tree.prove(i))
 
 
 def test_update_rehashes_only_changed_paths(monkeypatch):
-    leaves = [i.to_bytes(4, "little") for i in range(1002)]
-    tree = MerkleTree()
-    tree.update(leaves)
+    tree = MerkleTree([i.to_bytes(4, "little") for i in range(1002)])
     hashed = []
     monkeypatch.setattr(merkle, "sha256", lambda data: hashed.append(data) or sha256(data))
-    assert tree.update(list(leaves)) == tree.root
-    assert hashed == []  # same bytes: nothing to rehash
-    leaves[1001] = b"changed"  # last leaf: its odd-level duplicates pair with themselves
-    tree.update(leaves)
+    assert tree.update([]) == tree.root
+    assert hashed == []  # nothing rewritten: nothing to rehash
+    tree.leaves[1001] = b"changed"  # last leaf: its odd-level duplicates pair with themselves
+    tree.update([1001])
     assert len(hashed) == 1 + 10  # the leaf and one node per level above it
+    assert tree.root == reference_root(tree.leaves)
