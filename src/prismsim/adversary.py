@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .blocks import Block, PROPOSER, TRANSACTION, VOTER
+from .blocks import Block, PROPOSER, TRANSACTION
 from .chain import ProposerEntry
 from .mining import MinerContext, honest_context
 
@@ -232,9 +232,7 @@ class PrivateDoubleSpendStrategy(Strategy):
 
     def handle_block(self, block: Block, changes: list[str], now: float) -> list[Block]:
         if self.phase == "waiting":
-            if any(f"new_proposer_level:{self.target_level}" == c for c in changes) or (
-                self.node.state.prp_by_level.get(self.target_level)
-            ):
+            if self.node.state.prp_by_level.get(self.target_level):
                 self.phase = "attacking"
             return []
         return self._maybe_release(now)

@@ -12,12 +12,11 @@ transaction, then proposer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .crypto import SignatureScheme, sha256
 from .ledger import Transaction
 from .merkle import MerkleProof, merkle_verify
-from .serialize import DIGEST_SIZE, ByteReader, lp_bytes, u32, u64
+from .serialize import DIGEST_SIZE, u32, u64
 
 TRANSACTION = "transaction"
 PROPOSER = "proposer"
@@ -229,76 +228,6 @@ class Block:
         if self.block_type.kind == VOTER:
             kind = f"voter[{self.block_type.chain_index}]"
         return f"Block({kind}, {self.digest.hex()[:12]})"
-
-    # --- wire format ---------------------------------------------------------
-
-    _KIND_TAGS = {TRANSACTION: 0, PROPOSER: 1, VOTER: 2}
-    _TAG_KINDS = {0: TRANSACTION, 1: PROPOSER, 2: VOTER}
-
-    def serialize(self) -> bytes:
-        parts = [
-            u32(self._KIND_TAGS[self.block_type.kind]),
-            u32(self.block_type.chain_index),
-            self.header.serialize(),
-            u32(self.miner_id),
-            u64(self.level),
-            lp_bytes(self.parent_leaf),
-        ]
-        if isinstance(self.content, TransactionContent):
-            parts.append(u32(len(self.content.txs)))
-            parts.extend(lp_bytes(tx.serialize()) for tx in self.content.txs)
-        elif isinstance(self.content, ProposerContent):
-            parts.append(u32(len(self.content.prp_refs)))
-            parts.extend(self.content.prp_refs)
-            parts.append(u32(len(self.content.tx_refs)))
-            parts.extend(self.content.tx_refs)
-        else:
-            parts.append(u32(len(self.content.votes)))
-            parts.extend(u64(lvl) + d for lvl, d in self.content.votes)
-        for proof in (self.parent_proof, self.content_proof):
-            parts.append(u32(proof.leaf_index))
-            parts.append(u32(len(proof.siblings)))
-            parts.extend(proof.siblings)
-        return b"".join(parts)
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "Block":
-        r = ByteReader(data)
-        kind = cls._TAG_KINDS[r.u32()]
-        chain_index = r.u32()
-        header = Header(r.digest(), r.digest(), r.u64())
-        miner_id = r.u32()
-        level = r.u64()
-        parent_leaf = r.lp_bytes()
-        content: Content
-        if kind == TRANSACTION:
-            txs = tuple(
-                Transaction.deserialize(ByteReader(r.lp_bytes())) for _ in range(r.u32())
-            )
-            content = TransactionContent(txs)
-        elif kind == PROPOSER:
-            prp_refs = tuple(r.digest() for _ in range(r.u32()))
-            tx_refs = tuple(r.digest() for _ in range(r.u32()))
-            content = ProposerContent(prp_refs, tx_refs)
-        else:
-            content = VoterContent(tuple((r.u64(), r.digest()) for _ in range(r.u32())))
-        proofs = []
-        for _ in range(2):
-            leaf_index = r.u32()
-            siblings = tuple(r.digest() for _ in range(r.u32()))
-            proofs.append(MerkleProof(leaf_index, siblings))
-        if not r.done():
-            raise ValueError("trailing bytes after block")
-        return cls(
-            header,
-            BlockType(kind, chain_index),
-            parent_leaf,
-            content,
-            proofs[0],
-            proofs[1],
-            miner_id,
-            level,
-        )
 
 
 def validate_block(block: Block, params: SortitionParams, scheme: SignatureScheme) -> None:

@@ -19,7 +19,6 @@ from .blocks import (
     genesis_voter_digest,
 )
 from .ledger import CoinId, Transaction
-from .serialize import hex_digest
 
 FIRST_SEEN = "first_seen"
 MOST_VOTED = "most_voted"
@@ -54,7 +53,6 @@ def _expect_equal(what: str, kept, fresh) -> None:
 @dataclass
 class MempoolTx:
     tx: Transaction
-    arrival: float
     release_time: float  # spam jitter: ineligible for mining before this
 
 
@@ -76,7 +74,6 @@ class VoterTree:
     """One voter blocktree with longest-chain tip and main-chain votes."""
 
     def __init__(self, index: int):
-        self.index = index
         self.genesis = genesis_voter_digest(index)
         self.entries: dict[bytes, VoterEntry] = {}
         self.tip: bytes = self.genesis
@@ -236,7 +233,7 @@ class ChainState:
         for coin in tx.input_ids():
             if coin in self.mined_inputs or coin in self.mempool_inputs:
                 return TxRejected("Conflict")
-        self.mempool[tx.digest] = MempoolTx(tx, now, release_time if release_time is not None else now)
+        self.mempool[tx.digest] = MempoolTx(tx, release_time if release_time is not None else now)
         for coin in tx.input_ids():
             self.mempool_inputs[coin] = tx.digest
         return TX_ACCEPTED
@@ -312,7 +309,7 @@ class ChainState:
     def _buffer_orphan(self, block: Block, missing: bytes) -> list[str]:
         self.orphans.setdefault(missing, []).append(block)
         self.orphan_digests.add(block.digest)
-        return ["orphaned", f"request_parent:{hex_digest(missing)}"]
+        return ["orphaned", f"request_parent:{missing.hex()}"]
 
     def _resolve_orphans(self, digest: bytes) -> list[str]:
         changes: list[str] = []
@@ -581,23 +578,23 @@ class ChainState:
         """Structured dump of trees, tips and pools for offline auditing."""
         return {
             "proposer": {
-                "parent": hex_digest(self.prp_parent),
+                "parent": self.prp_parent.hex(),
                 "parent_level": self.prp_parent_level,
                 "edges": {
-                    hex_digest(d): hex_digest(e.parent) for d, e in self.prp_entries.items()
+                    d.hex(): e.parent.hex() for d, e in self.prp_entries.items()
                 },
                 "by_level": {
-                    str(level): [hex_digest(d) for d in digests]
+                    str(level): [d.hex() for d in digests]
                     for level, digests in self.prp_by_level.items()
                 },
             },
             "voter_tips": [
-                {"tip": hex_digest(t.tip), "chainlen": t.tip_chainlen}
+                {"tip": t.tip.hex(), "chainlen": t.tip_chainlen}
                 for t in self.voter_trees
             ],
             "pools": {
-                "unref_tx": [hex_digest(d) for d in self.unref_tx_pool],
-                "unref_prp": [hex_digest(d) for d in self.unref_prp_pool],
+                "unref_tx": [d.hex() for d in self.unref_tx_pool],
+                "unref_prp": [d.hex() for d in self.unref_prp_pool],
                 "mempool_size": len(self.mempool),
             },
             "forking": {

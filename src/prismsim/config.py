@@ -267,15 +267,17 @@ def validate(cfg: dict) -> None:
         rates["longest_chain.rate"] = lc["rate"]
     events = {field: rate * duration for field, rate in rates.items()}
     trees = {"prism.m": n * prism["m"]} if cfg["protocol"] == "prism" else {}
-    # set-up costs about 3 us and 360 bytes per genesis coin, 0.4-0.6 us
-    # per hop pair (one breadth-first search per node, ring or regular),
-    # 5 us and 800 bytes per voter tree (m per node) and 75 us per ed25519
-    # key pair; events count the mining, payment and checkpoint draws, not
+    edges = {"regular": n * topo["degree"] // 2, "ring": n, "complete": n * (n - 1) // 2}[topo["kind"]]
+    # set-up costs about 3 us and 360 bytes per genesis coin, 15-50 ns per
+    # search step (one breadth-first search per node over every node and
+    # adjacency entry; complete graphs cheapest, rings dearest), 5 us and
+    # 800 bytes per voter tree (m per node) and 75 us per ed25519 key
+    # pair; events count the mining, payment and checkpoint draws, not
     # block arrivals
     for what, counts, limit in (
         ("genesis coins", coins, 10**6),
         ("events", events, 10**7),
-        ("hop pairs", {"topology.nodes": n * (n - 1) // 2}, 10**7),
+        ("breadth-first search steps", {"topology.nodes": n * (n + 2 * edges)}, 5 * 10**7),
         ("voter trees", trees, 10**6),
         ("key pairs", {"workload.wallets": workload["wallets"]}, 10**5),
     ):

@@ -20,7 +20,6 @@ from typing import Callable, Iterable
 from .chain import ChainState
 from .crypto import SignatureScheme
 from .ledger import CoinId, Transaction, Utxo, execute_with_fee
-from .serialize import hex_digest
 
 
 class ConfirmationError(Exception):
@@ -311,7 +310,7 @@ def expand_proposer(
                 continue
             entry = state.prp_entries.get(item)
             if entry is None:
-                raise MissingBlockError(f"proposer block {hex_digest(item)} not stored")
+                raise MissingBlockError(f"proposer block {item.hex()} not stored")
             included_prp.add(item)
             stack.append(entry.block.content)
             stack.extend(reversed((entry.parent, *entry.block.content.prp_refs)))
@@ -321,7 +320,7 @@ def expand_proposer(
                 continue
             tx_block = state.tx_blocks.get(ref)
             if tx_block is None:
-                raise MissingBlockError(f"transaction block {hex_digest(ref)} not stored")
+                raise MissingBlockError(f"transaction block {ref.hex()} not stored")
             included_tx.add(ref)
             ledger.extend((tx, ref) for tx in tx_block.content.txs)
     return ledger
@@ -429,8 +428,8 @@ class ConfirmationEngine:
                     {
                         "time": now,
                         "level": level,
-                        "confirmed": hex_digest(confirmed_digest),
-                        "usurper": hex_digest(current),
+                        "confirmed": confirmed_digest.hex(),
+                        "usurper": current.hex(),
                     }
                 )
 
@@ -443,7 +442,7 @@ class ConfirmationEngine:
             "adv_upper": decision.bounds.adversary_upper,
             "candidates": [
                 {
-                    "digest": hex_digest(c.digest),
+                    "digest": c.digest.hex(),
                     "votes": c.votes,
                     "mu": c.mu,
                     "sigma": c.sigma,
@@ -453,5 +452,5 @@ class ConfirmationEngine:
                 for c in decision.bounds.candidates
             ],
             "verdict": "confirmed" if decision.confirmed else "unconfirmed",
-            "leader": hex_digest(decision.leader) if decision.leader else None,
+            "leader": decision.leader.hex() if decision.leader else None,
         }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .crypto import KeyPair, SignatureScheme, sha256
-from .serialize import ByteReader, lp_bytes, u32, u64
+from .serialize import lp_bytes, u32, u64
 
 CoinId = tuple[bytes, int]
 
@@ -62,7 +62,7 @@ class Transaction:
     verdict.
     """
 
-    __slots__ = ("inputs", "outputs", "signatures", "digest", "_body", "_verdict")
+    __slots__ = ("inputs", "outputs", "signatures", "digest", "_verdict")
 
     def __init__(
         self,
@@ -77,8 +77,7 @@ class Transaction:
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
         self.signatures = tuple(signatures)
-        self._body = self._serialize_body()
-        self.digest = sha256(self._body)
+        self.digest = sha256(self._serialize_body())
         self._verdict: tuple[SignatureScheme, bool] | None = None
 
     def _serialize_body(self) -> bytes:
@@ -92,26 +91,11 @@ class Transaction:
             parts.append(lp_bytes(txout.owner))
         return b"".join(parts)
 
-    @property
-    def body(self) -> bytes:
-        return self._body
-
-    def serialize(self) -> bytes:
-        parts = [self._body, u32(len(self.signatures))]
-        for public, sig in self.signatures:
-            parts.append(lp_bytes(public))
-            parts.append(lp_bytes(sig))
-        return b"".join(parts)
-
     def input_ids(self) -> tuple[CoinId, ...]:
         return tuple(txin.id for txin in self.inputs)
 
     def output_ids(self) -> tuple[CoinId, ...]:
         return tuple((self.digest, i) for i in range(len(self.outputs)))
-
-    def fee(self, utxo_set: dict[CoinId, Utxo]) -> int:
-        total_in = sum(utxo_set[i].value for i in self.input_ids())
-        return total_in - sum(o.value for o in self.outputs)
 
     def signatures_well_formed(self, scheme: SignatureScheme) -> bool:
         """One signature per input, each verifying over the body digest.
@@ -132,16 +116,6 @@ class Transaction:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Transaction({self.digest.hex()[:12]}, in={len(self.inputs)}, out={len(self.outputs)})"
-
-    @classmethod
-    def deserialize(cls, reader: "ByteReader") -> "Transaction":
-        n_in = reader.u32()
-        inputs = [TxInput(reader.digest(), reader.u32()) for _ in range(n_in)]
-        n_out = reader.u32()
-        outputs = [TxOutput(reader.u64(), reader.lp_bytes()) for _ in range(n_out)]
-        n_sig = reader.u32()
-        sigs = [(reader.lp_bytes(), reader.lp_bytes()) for _ in range(n_sig)]
-        return cls(inputs, outputs, sigs)
 
 
 def signed_transaction(

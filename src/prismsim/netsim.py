@@ -271,9 +271,10 @@ class EventCore:
         """The next unspent genesis coin and its owner's keys, or None."""
         if self._next_coin >= len(self._unused_coins):
             return None
-        coin = self._unused_coins[self._next_coin]
+        i = self._next_coin
         self._next_coin += 1
-        return coin, next(w for w in self.wallets if w.public == coin.owner)
+        # coin i belongs to wallet i mod W (_build_genesis_utxo)
+        return self._unused_coins[i], self.wallets[i % len(self.wallets)]
 
     def _schedule_workload(self) -> None:
         tps = self.cfg["workload"]["tps"]

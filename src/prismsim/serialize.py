@@ -1,4 +1,4 @@
-"""Canonical byte encoding shared by hashing, Merkle commitments and snapshots.
+"""Canonical byte encoding shared by hashing and Merkle commitments.
 
 Layout rules (fixed so digests are reproducible across implementations):
 
@@ -26,39 +26,3 @@ def u64(value: int) -> bytes:
 def lp_bytes(data: bytes) -> bytes:
     """Length-prefixed byte string."""
     return u32(len(data)) + data
-
-
-def hex_digest(digest: bytes) -> str:
-    return digest.hex()
-
-
-class ByteReader:
-    """Sequential reader over a canonical byte string."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValueError("truncated input")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def lp_bytes(self) -> bytes:
-        return self.take(self.u32())
-
-    def digest(self) -> bytes:
-        return self.take(DIGEST_SIZE)
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)

@@ -163,21 +163,6 @@ def test_wrong_chain_index_claim_is_rejected():
         validate_block(lying, params, SCHEME)
 
 
-def test_serialization_round_trip_preserves_digest():
-    params = make_params(m=4)
-    tx = make_tx(SCHEME)
-    for bt, content, level in [
-        (transaction_type(), TransactionContent((tx, make_tx(SCHEME, b"q", 3))), 0),
-        (proposer_type(), ProposerContent((b"\x33" * 32, b"\x44" * 32), (b"\x55" * 32,)), 5),
-        (voter_type(0), VoterContent(((2, b"\x66" * 32), (3, b"\x77" * 32))), 0),
-    ]:
-        block = mine_block(bt, params, content, level=level)
-        restored = Block.deserialize(block.serialize())
-        assert restored.digest == block.digest
-        assert restored.serialize() == block.serialize()
-        validate_block(restored, params, SCHEME)
-
-
 def test_transaction_block_exposes_no_parent():
     params = make_params(m=4)
     block = mine_block(transaction_type(), params, TransactionContent((make_tx(SCHEME),)))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -7,7 +9,7 @@ from helpers import (
     KEYS, SCHEME, Bench, forge_proposer, forge_tx_block, genesis_set, make_params, spend, u_for,
 )
 
-from prismsim.blocks import Block, genesis_proposer_digest, genesis_voter_digest, validate_block
+from prismsim.blocks import genesis_proposer_digest, genesis_voter_digest, validate_block
 from prismsim.chain import FIRST_SEEN, MOST_VOTED, ChainState, TxRejected
 from prismsim.mining import MinerContext, finish_mining
 
@@ -392,10 +394,10 @@ def test_block_lookup_agrees_with_trees_and_pools():
 
 def relevel(block, level):
     """A copy of ``block`` under the same digest with another level."""
-    copy = Block.deserialize(block.serialize())
-    copy.level = level
-    assert copy.digest == block.digest
-    return copy
+    twin = copy.copy(block)
+    twin.level = level
+    assert twin.digest == block.digest
+    return twin
 
 
 def forge_voter(params, chain_index, parent):

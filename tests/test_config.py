@@ -115,6 +115,9 @@ SMALL_RUN = {"duration": 2.0, "topology": {"nodes": 4, "degree": 2}, "prism": {"
         ({"topology": {"kind": "ring", "nodes": 100_000}}, "topology.nodes"),
         ({"topology": {"nodes": 1000, "degree": 6}, "prism": {"m": 1001}}, "prism.m"),
         ({"workload": {"wallets": 10**5 + 1}}, "workload.wallets"),
+        # each search visits every adjacency entry, so a complete graph's
+        # set-up is cubic in the nodes: about 15 s at 1,000
+        ({"topology": {"kind": "complete", "nodes": 1000}}, "topology.nodes"),
     ],
 )
 def test_values_that_crashed_or_bent_a_run_rejected_by_name(overlay, field):

@@ -227,6 +227,33 @@ def test_parallel_equals_sequential_under_scheduling_jitter():
         assert final == expected_set
 
 
+def test_parallel_keeps_spend_chains_in_order_under_scheduling_jitter():
+    # each of 8 coins is spent four times in a row, each spend taking the
+    # last one's output: a child shares only its parent's output coin, so
+    # the scoreboard must hold outputs as well as inputs
+    utxo_set = genesis_set(8)
+    txs = []
+    for i, coin in enumerate(utxo_set.values()):
+        for step in range(4):
+            tx = spend(coin, KEYS[(i + step + 1) % len(KEYS)])
+            txs.append(tx)
+            coin = Utxo(tx.digest, 0, tx.outputs[0].value, tx.outputs[0].owner)
+    expected_ledger, expected_set = sanitize(txs, dict(utxo_set), SCHEME)
+    assert expected_ledger == txs
+    for trial in range(50):
+        jitter_rng = np.random.default_rng(2000 + trial)
+
+        def hook(tx):
+            if jitter_rng.random() < 0.5:
+                time.sleep(jitter_rng.random() * 1e-4)
+
+        ledger, final = sanitize_parallel(
+            txs, dict(utxo_set), SCHEME, workers=8, _schedule_hook=hook
+        )
+        assert [t.digest for t in ledger] == [t.digest for t in expected_ledger]
+        assert final == expected_set
+
+
 def test_conflict_free_batch_all_applied():
     utxo_set = genesis_set(64)
     txs = [spend(c, KEYS[0]) for c in list(utxo_set.values())]

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -356,6 +357,14 @@ def test_wallets_below_one_rejected():
         with pytest.raises(ConfigError) as err:
             resolve({"workload": {"wallets": wallets}})
         assert err.value.field == "workload.wallets"
+    # coins are dealt round-robin, so W = 7 over 30 coins wraps unevenly
+    sim = Simulation(small_cfg(workload={"wallets": 7, "genesis_coins": 30}), seed=0)
+    owners = []
+    while (taken := sim._take_coin()) is not None:
+        coin, owner = taken
+        assert owner.public == coin.owner
+        owners.append(owner)
+    assert len(owners) == 30 and len({o.public for o in owners}) == 7
 
 
 def test_out_of_range_voter_block_counted_invalid_and_run_continues():
@@ -394,7 +403,7 @@ def test_invalid_block_validated_once_and_counted_per_receipt(monkeypatch):
 def test_verdict_is_kept_per_object_not_per_digest():
     sim = Simulation(small_cfg(duration=1.0), seed=0)
     good = Bench(m=10, seed=2).mine("voter", chain_index=3, deliver=False)
-    forged = type(good).deserialize(good.serialize())
+    forged = copy.copy(good)
     forged.content = type(good.content)(((7, b"\x01" * 32),))  # same header, other body
     assert forged.digest == good.digest
     assert sim.is_valid(good) and not sim.is_valid(forged) and sim.is_valid(good)
