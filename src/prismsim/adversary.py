@@ -34,7 +34,7 @@ class Strategy:
     def handle_mined(self, block: Block, now: float) -> list[Block]:
         return [block]
 
-    def handle_block(self, block: Block, changes: list[str], now: float) -> list[Block]:
+    def handle_block(self, block: Block, now: float) -> list[Block]:
         return []
 
 
@@ -54,9 +54,6 @@ class CensorshipStrategy(Strategy):
 class BalancingStrategy(Strategy):
     """Keep proposer levels contested: mine a competitor wherever a level
     has a single candidate, and always vote for the runner-up."""
-
-    def __init__(self, mine_competitors: bool = True):
-        self.mine_competitors = mine_competitors
 
     def _runner_up(self, level: int) -> bytes | None:
         state = self.node.state
@@ -83,10 +80,9 @@ class BalancingStrategy(Strategy):
                     votes.append((level, runner_up[level]))
             if votes != honest:
                 ctx.replace_votes(i, votes)
-        if self.mine_competitors:
-            top = state.prp_parent_level
-            if top >= 1 and len(state.prp_by_level.get(top, ())) == 1:
-                _compete_with(ctx, state.prp_entries[state.prp_by_level[top][0]])
+        top = state.prp_parent_level
+        if top >= 1 and len(state.prp_by_level.get(top, ())) == 1:
+            _compete_with(ctx, state.prp_entries[state.prp_by_level[top][0]])
         return ctx
 
 
@@ -230,7 +226,7 @@ class PrivateDoubleSpendStrategy(Strategy):
 
     # --- public events --------------------------------------------------------------
 
-    def handle_block(self, block: Block, changes: list[str], now: float) -> list[Block]:
+    def handle_block(self, block: Block, now: float) -> list[Block]:
         if self.phase == "waiting":
             if self.node.state.prp_by_level.get(self.target_level):
                 self.phase = "attacking"
@@ -269,7 +265,7 @@ def install_strategies(sim) -> None:
         if adv["strategy"] == "censorship":
             node.strategy = CensorshipStrategy()
         elif adv["strategy"] == "balancing":
-            node.strategy = BalancingStrategy(mine_competitors=adv["mine_competitors"])
+            node.strategy = BalancingStrategy()
         elif adv["strategy"] == "private_double_spend":
             node.strategy = PrivateDoubleSpendStrategy(
                 target_level=adv["target_level"],

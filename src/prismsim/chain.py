@@ -276,13 +276,14 @@ class ChainState:
 
         Change tags: ``tx_block``, ``voter_stored:i``, ``voter_tip:i``,
         ``proposer_stored``, ``new_proposer_level:L``, ``prp_parent:L``,
-        ``duplicate``, ``orphaned``, ``request_parent:<hex>``,
-        ``rejected:bad_parent``.  A block whose parent is rejected or of
-        another chain or kind is rejected with every block buffered below
-        it: its tags start with its own ``rejected:bad_parent``, followed
-        by one per descendant.  Rejections are remembered, so a repeat is
-        a duplicate.  A proposer block's level is its stored parent's
-        plus one; the level the block claims is not read.
+        ``duplicate``, ``orphaned``, ``rejected:bad_parent``.  A block
+        whose parent is missing is buffered until the parent arrives, and
+        ``orphaned`` is its only tag.  A block whose parent is rejected or
+        of another chain or kind is rejected with every block buffered
+        below it: its tags start with its own ``rejected:bad_parent``,
+        followed by one per descendant.  Rejections are remembered, so a
+        repeat is a duplicate.  A proposer block's level is its stored
+        parent's plus one; the level the block claims is not read.
         """
         if self.seen(block):
             return ["duplicate"]
@@ -309,7 +310,7 @@ class ChainState:
     def _buffer_orphan(self, block: Block, missing: bytes) -> list[str]:
         self.orphans.setdefault(missing, []).append(block)
         self.orphan_digests.add(block.digest)
-        return ["orphaned", f"request_parent:{missing.hex()}"]
+        return ["orphaned"]
 
     def _resolve_orphans(self, digest: bytes) -> list[str]:
         changes: list[str] = []

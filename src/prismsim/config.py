@@ -26,7 +26,6 @@ DEFAULTS: dict[str, Any] = {
     "seed": 0,  # default stream; the CLI --seed flag overrides
     "duration": 60.0,
     "checkpoint_interval": 0.5,
-    "steady_state_fraction": 0.2,
     "signature_scheme": "mock",
     "topology": {
         "kind": "regular",  # regular | ring | complete
@@ -50,26 +49,18 @@ DEFAULTS: dict[str, Any] = {
         "block_capacity": 228,
         "confirm_depth": 24,
     },
-    "workload": {
-        "tps": 20.0,
-        "wallets": 16,
-        "coin_value": 10,
-        "genesis_coins": None,  # default: sized to the expected tx volume
-    },
+    "workload": {"tps": 20.0},
     "adversary": {
         "strategy": "none",  # none | private_double_spend | censorship | balancing
         "fraction": 0.0,
         "target_level": 1,
         "release_margin": 0,
         "release_timeout_fraction": 0.85,
-        "mine_competitors": True,
     },
     "spam": {
         "enabled": False,
         "tps": 2.0,
-        "victims": 0,  # 0 = every honest node
         "jitter": {"kind": "none", "max_s": 5.0, "mean_s": 10.0},
-        "normalize": True,
     },
     "sizes": {
         "block_overhead_bytes": 500,
@@ -114,8 +105,8 @@ def resolve(raw: dict | None = None, profile: str | None = None) -> dict:
 
 def _check_keys(cfg: dict, defaults: dict, prefix: str = "") -> None:
     """Reject keys the defaults do not have, and values of another type
-    than their default's: counts and levels take integers (or null where
-    the default is null), rates and times finite numbers."""
+    than their default's: counts and levels take integers, rates and
+    times numbers, each finite and within the float range."""
     for key, value in cfg.items():
         name = prefix + key
         if key not in defaults:
@@ -132,12 +123,14 @@ def _check_keys(cfg: dict, defaults: dict, prefix: str = "") -> None:
             continue
         elif isinstance(value, bool):  # an int subclass, but no number here
             raise ConfigError(name, f"must be a number, got {value!r}")
-        elif isinstance(default, float):
-            # false for NaN, the infinities and integers too large for a float
-            if not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-                raise ConfigError(name, f"must be a finite number, got {value!r}")
-        elif not isinstance(value, int) and not (value is None and default is None):
+        elif isinstance(default, float) and not isinstance(value, (int, float)):
+            raise ConfigError(name, f"must be a number, got {value!r}")
+        elif isinstance(default, int) and not isinstance(value, int):
             raise ConfigError(name, f"must be an integer, got {value!r}")
+        elif not abs(value) <= sys.float_info.max:
+            # NaN, the infinities and integers too large for a float: the
+            # link model and the run-size bounds compute in floats
+            raise ConfigError(name, f"must be finite and at most {sys.float_info.max:.4g} in magnitude")
 
 
 def validate(cfg: dict) -> None:
@@ -150,8 +143,6 @@ def validate(cfg: dict) -> None:
         raise ConfigError("duration", "must be > 0")
     if cfg["checkpoint_interval"] <= 0:
         raise ConfigError("checkpoint_interval", "must be > 0")
-    if not 0.0 <= cfg["steady_state_fraction"] < 1.0:
-        raise ConfigError("steady_state_fraction", "must lie in [0, 1)")
     if cfg["signature_scheme"] not in ("mock", "ed25519"):
         raise ConfigError("signature_scheme", "must be 'mock' or 'ed25519'")
 
@@ -230,8 +221,6 @@ def validate(cfg: dict) -> None:
             raise ConfigError("spam.tps", "must be > 0")
         if spam["jitter"]["kind"] not in ("none", "uniform", "exponential"):
             raise ConfigError("spam.jitter.kind", "must be none/uniform/exponential")
-    if spam["victims"] < 0:
-        raise ConfigError("spam.victims", "must be >= 0 (0 = every honest node)")
     # every transaction draws jitter, whether or not spam is enabled
     for key in ("max_s", "mean_s"):
         if spam["jitter"][key] < 0:
@@ -240,13 +229,6 @@ def validate(cfg: dict) -> None:
     workload = cfg["workload"]
     if workload["tps"] < 0:
         raise ConfigError("workload.tps", "must be >= 0")
-    if workload["wallets"] < 1:
-        raise ConfigError("workload.wallets", "must be >= 1")
-    # amounts are serialized as unsigned 64-bit integers
-    if not 1 <= workload["coin_value"] <= 2**64 - 1:
-        raise ConfigError("workload.coin_value", "must lie in [1, 2**64 - 1]")
-    if workload["genesis_coins"] is not None and workload["genesis_coins"] < 1:
-        raise ConfigError("workload.genesis_coins", "must be >= 1, or null for the default")
 
     for key, value in cfg["sizes"].items():
         if value < 0:
@@ -256,8 +238,6 @@ def validate(cfg: dict) -> None:
     duration = cfg["duration"]
     payments = _payment_rates(cfg)
     coins = {field: rate * duration * 1.25 for field, rate in payments.items()}
-    if workload["genesis_coins"] is not None:
-        coins = {"workload.genesis_coins": workload["genesis_coins"]}
     rates = {**payments, "checkpoint_interval": 1.0 / cfg["checkpoint_interval"]}
     if cfg["protocol"] == "prism":
         rates["prism.rate_voter_per_chain"] = prism["m"] * prism["rate_voter_per_chain"]
@@ -270,16 +250,14 @@ def validate(cfg: dict) -> None:
     edges = {"regular": n * topo["degree"] // 2, "ring": n, "complete": n * (n - 1) // 2}[topo["kind"]]
     # set-up costs about 3 us and 360 bytes per genesis coin, 15-50 ns per
     # search step (one breadth-first search per node over every node and
-    # adjacency entry; complete graphs cheapest, rings dearest), 5 us and
-    # 800 bytes per voter tree (m per node) and 75 us per ed25519 key
-    # pair; events count the mining, payment and checkpoint draws, not
-    # block arrivals
+    # adjacency entry; complete graphs cheapest, rings dearest) and 5 us
+    # and 800 bytes per voter tree (m per node); events count the mining,
+    # payment and checkpoint draws, not block arrivals
     for what, counts, limit in (
         ("genesis coins", coins, 10**6),
         ("events", events, 10**7),
         ("breadth-first search steps", {"topology.nodes": n * (n + 2 * edges)}, 5 * 10**7),
         ("voter trees", trees, 10**6),
-        ("key pairs", {"workload.wallets": workload["wallets"]}, 10**5),
     ):
         if sum(counts.values()) > limit:
             raise ConfigError(max(counts, key=counts.get), f"the run would make over {limit} {what}")
@@ -294,10 +272,8 @@ def _payment_rates(cfg: dict) -> dict[str, float]:
 
 
 def genesis_coin_count(cfg: dict) -> int:
-    """``workload.genesis_coins``, or by default enough coins for each
-    payment stream over the run with a 25% margin."""
-    if cfg["workload"]["genesis_coins"] is not None:
-        return cfg["workload"]["genesis_coins"]
+    """Enough genesis coins for each payment stream over the run, with a
+    25% margin."""
     return sum(math.ceil(tps * cfg["duration"] * 1.25) + 10 for tps in _payment_rates(cfg).values())
 
 

@@ -62,6 +62,11 @@ TX_RELAY = 6  # longest chain: a gossiped pending transaction
 
 FETCH_REQUEST_BYTES = 100
 
+# the payment workload: genesis coins of one value dealt round-robin to
+# a fixed set of wallets, each payment one coin to a random wallet
+WALLETS = 16
+COIN_VALUE = 10
+
 
 def utilization_bound(f: float, delta: float, h: float) -> float:
     """Upper bound on bandwidth utilization: blocks in flight per hop."""
@@ -176,17 +181,23 @@ def build_topology(cfg: dict, seed: int) -> Topology:
             edges, adjacency = _graph(n, _random_regular_pairs(topo["degree"], n, rng_seed + attempt))
             if None not in _hops_from(adjacency, 0):
                 break
-    # hop counts of the pairs u < v in (u, v) order, on which np.mean's rounding depends
-    hops = [hop for u in range(n) for hop in _hops_from(adjacency, u)[u + 1:]]
-    if None in hops:
-        raise ValueError("topology: graph is not connected")
+    # over the pairs u < v; integer sums below 2**53 are exact in a float,
+    # so the mean is the correctly rounded quotient, as np.mean gave it
+    diameter = total = pairs = 0
+    for u in range(n):
+        hops = _hops_from(adjacency, u)[u + 1:]
+        if None in hops:
+            raise ValueError("topology: graph is not connected")
+        diameter = max(diameter, max(hops, default=0))
+        total += sum(hops)
+        pairs += len(hops)
     return Topology(
         n=n,
         edges=edges,
         delay_s=topo["delay_s"],
         bandwidth=topo["bandwidth_bytes_per_s"],
-        diameter=max(hops, default=0),
-        mean_hops=float(np.mean(hops)) if hops else 0.0,
+        diameter=diameter,
+        mean_hops=total / pairs if pairs else 0.0,
     )
 
 
@@ -242,10 +253,7 @@ class EventCore:
         self.link_free: dict[tuple[int, int], float] = {}
 
         self.workload_rng = np.random.default_rng([seed, 2])
-        self.wallets = [
-            self.scheme.keypair(b"wallet" + i.to_bytes(4, "little"))
-            for i in range(cfg["workload"]["wallets"])
-        ]
+        self.wallets = [self.scheme.keypair(b"wallet" + i.to_bytes(4, "little")) for i in range(WALLETS)]
         self.genesis_utxo = self._build_genesis_utxo()
         self._unused_coins = list(self.genesis_utxo.values())
         self._next_coin = 0
@@ -259,11 +267,10 @@ class EventCore:
     # --- genesis and workload ----------------------------------------------------------
 
     def _build_genesis_utxo(self) -> dict:
-        wl = self.cfg["workload"]
         utxo = {}
         for i in range(genesis_coin_count(self.cfg)):
-            owner = self.wallets[i % len(self.wallets)]
-            coin = Utxo(b"genesis-coin" + i.to_bytes(8, "little") + bytes(12), 0, wl["coin_value"], owner.public)
+            owner = self.wallets[i % WALLETS]
+            coin = Utxo(b"genesis-coin" + i.to_bytes(8, "little") + bytes(12), 0, COIN_VALUE, owner.public)
             utxo[coin.id] = coin
         return utxo
 
@@ -273,8 +280,8 @@ class EventCore:
             return None
         i = self._next_coin
         self._next_coin += 1
-        # coin i belongs to wallet i mod W (_build_genesis_utxo)
-        return self._unused_coins[i], self.wallets[i % len(self.wallets)]
+        # coin i belongs to wallet i mod WALLETS (_build_genesis_utxo)
+        return self._unused_coins[i], self.wallets[i % WALLETS]
 
     def _schedule_workload(self) -> None:
         tps = self.cfg["workload"]["tps"]
@@ -286,7 +293,7 @@ class EventCore:
         if taken is None:
             return None
         coin, owner = taken
-        recipient = self.wallets[int(self.workload_rng.integers(len(self.wallets)))]
+        recipient = self.wallets[int(self.workload_rng.integers(WALLETS))]
         return self._spend(coin, owner, recipient.public)
 
     def _spend(self, coin: Utxo, owner, recipient: bytes) -> Transaction:
@@ -383,8 +390,12 @@ class EventCore:
         """Transactions entering the unsanitized ledger in the steady window."""
         return self._confirmed_in_window(steady_start)
 
+    # the share of the run before the steady-state window that throughput
+    # and latency are measured over
+    STEADY_STATE_FRACTION = 0.2
+
     def _report(self, started: float) -> MetricsReport:
-        steady_start = self.cfg["steady_state_fraction"] * self.duration
+        steady_start = self.STEADY_STATE_FRACTION * self.duration
         window = self.duration - steady_start
         return MetricsReport(
             protocol=self.protocol,
@@ -468,11 +479,10 @@ class Node(Peer):
             return
         # gossip: forward on first receipt, even while parents are missing
         self.sim.broadcast(self.id, block, now, exclude=from_peer)
-        for change in changes:
-            if change.startswith("request_parent:"):
-                self.sim.push_fetch(self.id, from_peer, change.split(":", 1)[1], now)
+        if changes[0] == "orphaned":
+            self.sim.push_fetch(self.id, from_peer, block.parent_ref, now)
         if self.strategy is not None:
-            self.publish(self.strategy.handle_block(block, changes, now), now)
+            self.publish(self.strategy.handle_block(block, now), now)
 
     def on_transaction(self, tx: Transaction, now: float) -> None:
         # transactions are not gossiped: only the receiving miner sees one
@@ -553,9 +563,9 @@ class Simulation(EventCore):
     def _wire_size(self, block: Block) -> int:
         return block_wire_size(block, self.cfg["sizes"])
 
-    def push_fetch(self, requester: int, peer: int, digest_hex: str, now: float) -> None:
+    def push_fetch(self, requester: int, peer: int, digest: bytes, now: float) -> None:
         arrival = self._link_arrival(requester, peer, FETCH_REQUEST_BYTES, now)
-        self.push(arrival, FETCH, (peer, requester, bytes.fromhex(digest_hex)))
+        self.push(arrival, FETCH, (peer, requester, digest))
 
     def _handle_event(self, kind: int, payload, now: float) -> None:
         if kind == SPAM:
@@ -594,9 +604,6 @@ class Simulation(EventCore):
 
     # --- workload --------------------------------------------------------------------
 
-    def _honest_ids(self) -> list[int]:
-        return [n.id for n in self.nodes if not n.adversarial]
-
     def _schedule_workload(self) -> None:
         super()._schedule_workload()
         spam = self.cfg["spam"]
@@ -605,23 +612,21 @@ class Simulation(EventCore):
 
     def _handle_spam_event(self, now: float) -> None:
         """One conflict set: distinct spends of one coin, delivered to all
-        victims simultaneously."""
+        honest nodes simultaneously."""
         spam = self.cfg["spam"]
         self.push(now + float(self.workload_rng.exponential(1.0 / spam["tps"])), SPAM, None)
         taken = self._take_coin()
         if taken is None:
             return
         coin, owner = taken
-        victims = self._honest_ids()
-        if spam["victims"]:
-            victims = victims[: spam["victims"]]
         self.spam_sets += 1
+        victims = [node for node in self.nodes if not node.adversarial]
         for i, victim in enumerate(victims):
             # one distinct recipient per victim keeps the variants distinct
             recipient = self.scheme.keypair(b"spam-sink" + i.to_bytes(4, "little"))
             variant = self._spend(coin, owner, recipient.public)
             self.spam_tx_digests.add(variant.digest)
-            self.nodes[victim].on_transaction(variant, now)
+            victim.on_transaction(variant, now)
 
     # --- checkpoints and report ------------------------------------------------------------
 
@@ -726,7 +731,7 @@ def run(cfg: dict, seed: int) -> RunResult:
         install_strategies(sim)
     result = sim.run()
     spam = cfg["spam"]
-    if spam["enabled"] and (spam["normalize"] or spam["jitter"]["kind"] == "none"):
+    if spam["enabled"]:
         # normalized spam compares against the no-jitter twin of the same
         # seed; a run without jitter is its own twin
         twin = result

@@ -197,8 +197,8 @@ def test_censorship_blocks_are_empty():
                 assert block.content.prp_refs == () and block.content.tx_refs == ()
 
 
-def _balancing_on(bench, mine_competitors=True):
-    strategy = BalancingStrategy(mine_competitors=mine_competitors)
+def _balancing_on(bench):
+    strategy = BalancingStrategy()
     node = SimpleNamespace(state=bench.state, id=5, hash_power=1.0)
     strategy.attach(SimpleNamespace(tx_capacity=100), node)
     return strategy
@@ -218,7 +218,6 @@ def test_balancing_context_contests_and_votes_runner_up():
 
     # one candidate at the top level: vote it, and retarget the proposer
     # sub-block to compete with it at the same level
-    assert _balancing_on(bench, mine_competitors=False).build_context(0.0).prp_parent == first.digest
     ctx = _balancing_on(bench).build_context(0.0)
     assert (ctx.prp_parent, ctx.prp_parent_level) == (state.proposer_genesis, 0)
     assert state.proposer_genesis not in ctx.unref_prp_refs
@@ -287,21 +286,19 @@ def test_spam_without_jitter_normalizes_to_one():
     assert report.spam["normalized"] == 1.0
 
 
-def test_spam_with_jitter_and_no_twin_reports_no_baseline():
+def test_spam_with_jitter_compares_with_its_no_jitter_twin():
     # the run was once reported as its own baseline, normalized 1.0
     cfg = {
         "duration": 10.0,
         "topology": {"nodes": 4, "degree": 2, "delay_s": 0.1},
         "prism": {"m": 10, "rate_voter_per_chain": 0.3, "rate_tx": 20.0, "rate_prop": 0.2},
         "workload": {"tps": 0.0},
-        "spam": {"enabled": True, "tps": 2.0, "jitter": {"kind": "uniform"}, "normalize": False},
+        "spam": {"enabled": True, "tps": 2.0, "jitter": {"kind": "uniform"}},
     }
     spam = run(resolve(cfg), seed=7).report.spam
-    assert spam["inclusions"] > 0
-    assert spam["baseline_inclusions"] is None and spam["normalized"] is None
-    cfg["spam"]["normalize"] = True
-    spam = run(resolve(cfg), seed=7).report.spam
-    assert spam["baseline_inclusions"] > 0
+    cfg["spam"]["jitter"]["kind"] = "none"
+    twin = run(resolve(cfg), seed=7).report.spam
+    assert spam["inclusions"] > 0 and spam["baseline_inclusions"] == twin["inclusions"] > 0
     assert spam["normalized"] == spam["inclusions"] / spam["baseline_inclusions"]
 
 

@@ -1,4 +1,5 @@
 import copy
+import heapq
 import json
 import os
 import subprocess
@@ -17,7 +18,9 @@ from prismsim.baseline import LongestChainSimulation
 from prismsim.config import ConfigError, resolve
 from prismsim.netsim import (
     ARRIVE,
+    FETCH,
     MINE,
+    WALLETS,
     Simulation,
     Topology,
     build_topology,
@@ -352,19 +355,47 @@ def test_report_schema_fully_populated():
     }
 
 
-def test_wallets_below_one_rejected():
-    for wallets in (0, -2):
-        with pytest.raises(ConfigError) as err:
-            resolve({"workload": {"wallets": wallets}})
-        assert err.value.field == "workload.wallets"
-    # coins are dealt round-robin, so W = 7 over 30 coins wraps unevenly
-    sim = Simulation(small_cfg(workload={"wallets": 7, "genesis_coins": 30}), seed=0)
+def test_genesis_coins_dealt_round_robin_over_the_wallets():
+    # 35 coins over 16 wallets wrap unevenly
+    sim = Simulation(small_cfg(duration=2.0), seed=0)
     owners = []
     while (taken := sim._take_coin()) is not None:
         coin, owner = taken
         assert owner.public == coin.owner
-        owners.append(owner)
-    assert len(owners) == 30 and len({o.public for o in owners}) == 7
+        owners.append(owner.public)
+    assert len(owners) == 35 and owners[:WALLETS] == owners[WALLETS:2 * WALLETS]
+    assert len(set(owners)) == WALLETS
+
+
+def _deliver_queued(sim):
+    """Hand the queued block arrivals and fetch requests to their nodes in
+    time order, without starting the run's mining and workload."""
+    while sim.heap:
+        when, _, kind, payload = heapq.heappop(sim.heap)
+        if kind == ARRIVE:
+            receiver, block, sender = payload
+            sim.nodes[receiver].on_block(block, sender, when)
+        else:
+            sim._handle_event(kind, payload, when)
+
+
+@pytest.mark.parametrize("sender_has_parent", [True, False])
+def test_child_before_its_parent_fetches_the_parent_from_the_sender(sender_has_parent):
+    sim = Simulation(small_cfg(topology={"kind": "complete", "nodes": 2}), seed=0)
+    bench = Bench(m=10, f_v=0.5, f_t=1.0, f_p=0.25)  # small_cfg's sortition
+    parent, child = bench.mine("proposer"), bench.mine("proposer")
+    sender, receiver = sim.nodes[1].state, sim.nodes[0].state
+    if sender_has_parent:
+        sender.receive_block(parent)
+    sender.receive_block(child)  # an orphan there when the parent is missing
+    sim.nodes[0].on_block(child, 1, now=1.0)
+    # one request, to the sender; the child has no other peer to go to
+    assert [(kind, payload) for _, _, kind, payload in sim.heap] == [(FETCH, (1, 0, parent.digest))]
+    _deliver_queued(sim)
+    # a peer without the block answers nothing, and the child stays buffered
+    assert receiver.has_block(parent.digest) is sender_has_parent
+    assert receiver.has_block(child.digest) is sender_has_parent
+    assert receiver.seen(child) and sim.invalid_blocks == 0
 
 
 def test_out_of_range_voter_block_counted_invalid_and_run_continues():
