@@ -187,17 +187,15 @@ class ChainState:
         self.mined_tx_digests: set[bytes] = set()
         self.mined_inputs: set[CoinId] = set()
 
-        # levels each voter chain's main chain has not voted yet
-        self.pending_vote_levels: list[set[int]] = [set() for _ in range(m)]
         # main-chain vote tallies across all trees: level -> digest -> count
         self.votes_by_level: dict[int, dict[bytes, int]] = {}
-        # the honest miner's vote list per chain, (level, vote_choice(level))
-        # for its pending levels in order; a list is replaced, never edited,
-        # so an unchanged list keeps its identity between blocks.  A new
-        # top level is appended at once; a stale list is rebuilt on demand
+        # vote_choice(level) for every proposer level
         self.vote_choices: dict[int, bytes] = {}
+        # the honest miner's vote list per chain: (level, vote choice) for
+        # every level its main chain has not voted, in level order.  A list
+        # is replaced, never edited, so an unchanged list keeps its identity
+        # between blocks; callers must not edit one
         self.vote_lists: list[list[tuple[int, bytes]]] = [[] for _ in range(m)]
-        self.stale_vote_lists: set[int] = set()
         self.voter_tips: list[bytes] = [t.genesis for t in self.voter_trees]
         # voter slots by their last change of tip or vote list, oldest
         # first, each with the epoch of that change.  Never drained: every
@@ -372,6 +370,19 @@ class ChainState:
         if tip_changed:
             changes.append(f"voter_tip:{index}")
             self.voter_tips[index] = block.digest
+            main_votes = tree.main_votes
+            if removed:
+                # reorg: every level up to the top the new main chain lacks
+                choices = self.vote_choices
+                self.vote_lists[index] = [
+                    (level, choices[level])
+                    for level in range(1, self.prp_parent_level + 1)
+                    if level not in main_votes
+                ]
+            elif added:
+                self.vote_lists[index] = [
+                    vote for vote in self.vote_lists[index] if vote[0] not in main_votes
+                ]
             for level, digest in removed:
                 counts = self.votes_by_level.get(level)
                 if counts is not None:
@@ -386,17 +397,6 @@ class ChainState:
             if self.vote_rule == MOST_VOTED:
                 for level in {level for level, _ in removed + added}:
                     self._recheck_choice(level)
-            if removed:
-                # reorg: recompute the unvoted-level set for this chain
-                self.pending_vote_levels[index] = {
-                    lvl
-                    for lvl in range(1, self.prp_parent_level + 1)
-                    if lvl not in tree.main_votes
-                }
-            else:
-                for level, _ in added:
-                    self.pending_vote_levels[index].discard(level)
-            self.stale_vote_lists.add(index)
             self._slots_changed((index,))
         return changes
 
@@ -426,13 +426,11 @@ class ChainState:
             changes.append(f"new_proposer_level:{level}")
             self.vote_choices[level] = block.digest
             # its parent is stored one level down, so the new level is the
-            # new top: a current list gains it as its last vote
+            # new top: every list that owes it gains it as its last vote
             vote = [(level, block.digest)]
             owing = [i for i, t in enumerate(self.voter_trees) if level not in t.main_votes]
             for i in owing:
-                self.pending_vote_levels[i].add(level)
-                if i not in self.stale_vote_lists:
-                    self.vote_lists[i] = self.vote_lists[i] + vote
+                self.vote_lists[i] = self.vote_lists[i] + vote
             self._slots_changed(owing)
         elif self.vote_rule == MOST_VOTED:
             self._recheck_choice(level)
@@ -444,12 +442,15 @@ class ChainState:
 
     def _recheck_choice(self, level: int) -> None:
         """Keep ``vote_choices[level]`` current; on a change, every chain
-        with ``level`` pending needs a new vote list."""
+        whose main chain has not voted ``level`` gets a new vote list with
+        that vote rewritten."""
         choice = self.vote_choice(level)
         if choice != self.vote_choices.get(level):
             self.vote_choices[level] = choice
-            owing = [i for i, pending in enumerate(self.pending_vote_levels) if level in pending]
-            self.stale_vote_lists.update(owing)
+            owing = [i for i, t in enumerate(self.voter_trees) if level not in t.main_votes]
+            lists = self.vote_lists
+            for i in owing:
+                lists[i] = [(lvl, choice if lvl == level else d) for lvl, d in lists[i]]
             self._slots_changed(owing)
 
     def _slots_changed(self, indexes) -> None:
@@ -502,30 +503,14 @@ class ChainState:
         counts = self.votes_by_level.get(level, {})
         return max(level_list, key=lambda d: (counts.get(d, 0), -level_list.index(d)))
 
-    def honest_votes(self) -> list[list[tuple[int, bytes]]]:
-        """Each chain's honest vote list: one (level, vote choice) per
-        unvoted level, in level order.
-
-        Only the lists made stale since the last call are rebuilt; a list
-        that has not changed since the last call is the same object as
-        before.  Callers must not edit the lists.
-        """
-        choices = self.vote_choices
-        for i in self.stale_vote_lists:
-            self.vote_lists[i] = [
-                (level, choices[level]) for level in sorted(self.pending_vote_levels[i])
-            ]
-        self.stale_vote_lists.clear()
-        return self.vote_lists
-
     def check_invariants(self) -> None:
         """Recompute the derived indexes from scratch and compare them
         with the kept ones; raise AssertionError on the first mismatch.
 
         Covers the vote tallies (from every tree's main-chain votes), the
-        unvoted-level sets, the mempool input index, the voter tips and
-        the honest vote lists.  Costs a pass over the whole state: for
-        tests, not runs.
+        vote choices, the mempool input index, the voter tips and the
+        honest vote lists.  Costs a pass over the whole state: for tests,
+        not runs.
         """
         tallies: dict[int, dict[bytes, int]] = {}
         for tree in self.voter_trees:
@@ -534,13 +519,9 @@ class ChainState:
                 counts[digest] = counts.get(digest, 0) + 1
         kept = {level: counts for level, counts in self.votes_by_level.items() if counts}
         _expect_equal("votes_by_level", kept, tallies)
-        for i, tree in enumerate(self.voter_trees):
-            pending = {
-                level
-                for level in range(1, self.prp_parent_level + 1)
-                if level not in tree.main_votes
-            }
-            _expect_equal(f"pending_vote_levels[{i}]", self.pending_vote_levels[i], pending)
+        levels = range(1, self.prp_parent_level + 1)
+        choices = {level: self.vote_choice(level) for level in levels}
+        _expect_equal("vote_choices", self.vote_choices, choices)
         inputs = {
             coin: digest
             for digest, entry in self.mempool.items()
@@ -548,14 +529,9 @@ class ChainState:
         }
         _expect_equal("mempool_inputs", self.mempool_inputs, inputs)
         _expect_equal("voter_tips", self.voter_tips, [t.tip for t in self.voter_trees])
-        votes = self.honest_votes()
-        for i in range(self.m):
-            fresh = []
-            for level in sorted(self.pending_vote_levels[i]):
-                choice = self.vote_choice(level)
-                if choice is not None:
-                    fresh.append((level, choice))
-            _expect_equal(f"honest vote list of chain {i}", votes[i], fresh)
+        for i, tree in enumerate(self.voter_trees):
+            fresh = [(level, choices[level]) for level in levels if level not in tree.main_votes]
+            _expect_equal(f"honest vote list of chain {i}", self.vote_lists[i], fresh)
 
     def voter_fork_rate(self) -> float:
         total = self.voter_blocks_stored
@@ -572,34 +548,3 @@ class ChainState:
 
     def max_proposer_level(self) -> int:
         return self.prp_parent_level
-
-    # --- checkpoint dump --------------------------------------------------------
-
-    def checkpoint(self) -> dict:
-        """Structured dump of trees, tips and pools for offline auditing."""
-        return {
-            "proposer": {
-                "parent": self.prp_parent.hex(),
-                "parent_level": self.prp_parent_level,
-                "edges": {
-                    d.hex(): e.parent.hex() for d, e in self.prp_entries.items()
-                },
-                "by_level": {
-                    str(level): [d.hex() for d in digests]
-                    for level, digests in self.prp_by_level.items()
-                },
-            },
-            "voter_tips": [
-                {"tip": t.tip.hex(), "chainlen": t.tip_chainlen}
-                for t in self.voter_trees
-            ],
-            "pools": {
-                "unref_tx": [d.hex() for d in self.unref_tx_pool],
-                "unref_prp": [d.hex() for d in self.unref_prp_pool],
-                "mempool_size": len(self.mempool),
-            },
-            "forking": {
-                "voter": self.voter_fork_rate(),
-                "proposer": self.proposer_fork_rate(),
-            },
-        }

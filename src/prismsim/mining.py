@@ -90,7 +90,7 @@ def honest_context(
         txs=state.eligible_transactions(now, tx_capacity),
         unref_prp_refs=prp_refs,
         unref_tx_refs=tuple(state.unref_tx_pool),
-        votes=list(state.honest_votes()),
+        votes=list(state.vote_lists),
         source=state,
         epoch=state.slot_epoch,
     )

@@ -1,14 +1,24 @@
 """The benchmark's digest contract: every workload runs, passes its
-checks and reproduces its seed-0 report digests.
+checks and reproduces its seed-0 report digests.  Two configs that take
+strategy paths the workloads do not (most_voted flips, frequent voter
+reorgs) pin their digests here too.
 
 ``perfbench/checks.py`` reads the program's objects (confirmed leaders,
 their levels, ledgers); a change that breaks what it reads, or that
 moves a digest, fails here rather than only in the benchmark.  A change
 that moves these digests on purpose updates them and says why.
 """
+import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+from test_acceptance import BALANCING_CFG
+
+from prismsim.config import resolve
+from prismsim.netsim import run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +46,35 @@ def test_benchmark_digests_at_seed_0():
     rows = [line.split() for line in proc.stdout.splitlines() if line.strip()]
     assert [(name, int(seed), digest) for name, _, seed, digest, _ in rows] == SEED_0_DIGESTS
     assert [status for *_, status in rows] == ["ok"] * len(SEED_0_DIGESTS)
+
+
+# Strategy paths the benchmark does not run, on criterion 8's config.
+# Balancing at 0.25 flips most_voted choices (seed 1: 25 flips and 8
+# voter reorgs across nodes; seed 0 has neither).  A ring with one-second
+# links and no adversary reorgs voter chains often (seed 1: 154 reorgs).
+GUARD_CFGS = {
+    "balancing": {
+        **BALANCING_CFG,
+        "duration": 20.0,
+        "adversary": {"strategy": "balancing", "fraction": 0.25},
+    },
+    "slow-ring": {
+        **BALANCING_CFG,
+        "duration": 40.0,
+        "topology": {"kind": "ring", "nodes": 8, "delay_s": 1.0},
+    },
+}
+GUARD_DIGESTS = [
+    ("balancing", 0, "75a12345dd5b23d9e9c98d1ef8001f5d7c8de861a4d06228262e86dd12f93754"),
+    ("balancing", 1, "54a16fe5685aeeac5b8e21846ed6a90c20fcbc1b6d6f11673f8299d5fdddab1b"),
+    ("slow-ring", 0, "aa62c8cf0850416ff4d32475a452c27c2ee66c14031755060afd3e87434e289d"),
+    ("slow-ring", 1, "b7f50fad0c5e70d224ce8fda17707e56b917fc5907ce4a46db3cbfa697b6df1c"),
+]
+
+
+@pytest.mark.parametrize("name, seed, digest", GUARD_DIGESTS)
+def test_strategy_path_digests(name, seed, digest):
+    """SHA-256 over the deterministic report and the confirmation trace."""
+    result = run(resolve(GUARD_CFGS[name]), seed=seed)
+    body = {"report": result.report.deterministic_dict(), "trace": result.sim.engine.trace}
+    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == digest

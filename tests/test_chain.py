@@ -279,12 +279,19 @@ def test_shuffled_delivery_matches_in_order_state():
         for idx in order:
             shuffled.receive_block(history[idx])
         assert not shuffled.orphans
-        a, b = shuffled.checkpoint(), in_order.checkpoint()
-        assert a["proposer"] == b["proposer"]
-        assert a["voter_tips"] == b["voter_tips"]
+        assert {d: e.parent for d, e in shuffled.prp_entries.items()} == {
+            d: e.parent for d, e in in_order.prp_entries.items()
+        }
+        assert shuffled.prp_by_level == in_order.prp_by_level
+        assert (shuffled.prp_parent, shuffled.prp_parent_level) == (
+            in_order.prp_parent, in_order.prp_parent_level
+        )
+        assert [(t.tip, t.tip_chainlen) for t in shuffled.voter_trees] == [
+            (t.tip, t.tip_chainlen) for t in in_order.voter_trees
+        ]
         # pools agree as sets; their order is arrival order by design
-        assert set(a["pools"]["unref_tx"]) == set(b["pools"]["unref_tx"])
-        assert set(a["pools"]["unref_prp"]) == set(b["pools"]["unref_prp"])
+        assert set(shuffled.unref_tx_pool) == set(in_order.unref_tx_pool)
+        assert set(shuffled.unref_prp_pool) == set(in_order.unref_prp_pool)
         for i in range(3):
             assert shuffled.voter_trees[i].main_votes == in_order.voter_trees[i].main_votes
 
@@ -487,7 +494,7 @@ def test_shuffled_delivery_with_tampered_levels_matches_in_order_state(kinds, da
     assert not state.orphans and not state.orphan_digests
     assert state.prp_by_level == in_order.prp_by_level
     assert (state.prp_parent, state.prp_parent_level) == (in_order.prp_parent, in_order.prp_parent_level)
-    assert state.honest_votes() == in_order.honest_votes()
+    assert state.vote_lists == in_order.vote_lists
 
 
 def test_proposer_on_a_parent_of_another_kind_rejected_with_descendants():
@@ -625,20 +632,25 @@ def test_vote_list_follows_a_reorg_that_unvotes_a_level():
 def test_unchanged_vote_lists_keep_their_identity():
     bench = Bench(m=3)
     bench.mine("proposer")
-    before = list(bench.state.honest_votes())
+    before = bench.context().votes
     bench.mine("voter", chain_index=1)
     bench.mine("transaction")
-    after = bench.state.honest_votes()
+    after = bench.context().votes
     assert after[0] is before[0] and after[2] is before[2]
     assert after[1] is not before[1] and after[1] == []
+    # a tip move that votes nothing new keeps the chain's list
+    tip = bench.state.voter_tips[1]
+    bench.mine("voter", chain_index=1)
+    assert bench.state.voter_tips[1] != tip
+    assert all(a is b for a, b in zip(bench.context().votes, after))
 
 
 def _drop_tally(state):
     del state.votes_by_level[1]
 
 
-def _drop_pending(state):
-    state.pending_vote_levels[2].discard(1)
+def _drift_choice(state):
+    state.vote_choices[1] = bytes(32)
 
 
 def _drop_mempool_input(state):
@@ -646,14 +658,14 @@ def _drop_mempool_input(state):
 
 
 def _stale_vote_list(state):
-    state.honest_votes()[2] = []
+    state.vote_lists[2] = []
 
 
 @pytest.mark.parametrize(
     "drift, index",
     [
         (_drop_tally, "votes_by_level"),
-        (_drop_pending, "pending_vote_levels"),
+        (_drift_choice, "vote_choices"),
         (_drop_mempool_input, "mempool_inputs"),
         (_stale_vote_list, "honest vote list"),
     ],

@@ -227,14 +227,6 @@ def test_disconnected_topology_impossible_by_construction():
         resolve({"topology": {"kind": "regular", "nodes": 7, "degree": 3}})  # odd product
 
 
-def test_checkpoint_dump_schema():
-    cfg = small_cfg(duration=10.0)
-    result = run(cfg, seed=2)
-    dump = result.sim.nodes[0].state.checkpoint()
-    assert set(dump) == {"proposer", "voter_tips", "pools", "forking"}
-    assert len(dump["voter_tips"]) == cfg["prism"]["m"]
-
-
 def test_conservation_holds_at_every_checkpoint():
     from prismsim.ledger import total_value
 
