@@ -11,16 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .blocks import Block, PROPOSER, TRANSACTION
-from .chain import ProposerEntry
+from .chain import ChainState
 from .mining import MinerContext, honest_context
 
 
-def _compete_with(ctx: MinerContext, entry: ProposerEntry) -> None:
-    """Aim the proposer sub-block at ``entry``'s parent, so it competes
-    with ``entry`` at its level."""
-    ctx.prp_parent = entry.parent
-    ctx.prp_parent_level = entry.level - 1
-    ctx.unref_prp_refs = tuple(d for d in ctx.unref_prp_refs if d != entry.parent)
+def _compete_with(ctx: MinerContext, state: ChainState, digest: bytes) -> None:
+    """Aim the proposer sub-block at the parent of the stored proposer
+    block ``digest``, so it competes with that block at its level."""
+    parent = state.blocks[digest].parent_leaf
+    ctx.prp_parent = parent
+    ctx.prp_parent_level = state.prp_levels[digest] - 1
+    ctx.unref_prp_refs = tuple(d for d in ctx.unref_prp_refs if d != parent)
 
 
 class Strategy:
@@ -82,7 +83,7 @@ class BalancingStrategy(Strategy):
                 ctx.replace_votes(i, votes)
         top = state.prp_parent_level
         if top >= 1 and len(state.prp_by_level.get(top, ())) == 1:
-            _compete_with(ctx, state.prp_entries[state.prp_by_level[top][0]])
+            _compete_with(ctx, state, state.prp_by_level[top][0])
         return ctx
 
 
@@ -131,16 +132,12 @@ class PrivateDoubleSpendStrategy(Strategy):
         target_vote = tree.main_votes.get(self.target_level)
         if target_vote is not None:
             # fork below the public vote for the target level so the
-            # private chain can recast it
+            # private chain can recast it: from the main-chain block just
+            # under the voting one
             _, vote_chainlen = target_vote
-            digest = tree.tip
-            while digest != tree.genesis:
-                entry = tree.entries[digest]
-                if entry.chainlen == vote_chainlen:
-                    base = entry.parent
-                    base_len = entry.chainlen - 1
-                    break
-                digest = entry.parent
+            while tree.chainlen(base) >= vote_chainlen:
+                base = tree.blocks[base].parent_leaf
+            base_len = vote_chainlen - 1
             voted = {
                 level
                 for level, (_, clen) in tree.main_votes.items()
@@ -194,7 +191,7 @@ class PrivateDoubleSpendStrategy(Strategy):
         if self.private_block is None:
             public = state.prp_by_level.get(self.target_level)
             if public:
-                _compete_with(ctx, state.prp_entries[public[0]])
+                _compete_with(ctx, state, public[0])
         return ctx
 
     def handle_mined(self, block: Block, now: float) -> list[Block]:

@@ -1,8 +1,8 @@
 """Per-node blockchain state machine.
 
-Ingests validated blocks, maintains the proposer tree and the m voter
-trees with their longest chains, keeps the miner-facing pools and vote
-lists exact, and buffers blocks whose ancestors have not arrived yet.
+Ingests validated blocks into one store, derives the proposer levels and
+the m voter trees' chain lengths and longest chains, keeps the miner-facing
+pools and vote lists exact, and buffers blocks whose parents are missing.
 ``check_invariants`` recomputes the derived indexes for tests.  One
 instance per simulated node; the simulator delivers events serially per
 node.
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import (
+    PROPOSER,
     TRANSACTION,
     VOTER,
     Block,
@@ -50,32 +51,27 @@ def _expect_equal(what: str, kept, fresh) -> None:
         raise AssertionError(f"{what}: kept {kept!r}, recomputed {fresh!r}")
 
 
+def _height_above(parent: bytes, genesis: bytes, heights: dict[bytes, int]) -> int | None:
+    """``parent``'s height plus one, genesis being 0; None if it has none."""
+    if parent == genesis:
+        return 1
+    return heights[parent] + 1 if parent in heights else None
+
+
 @dataclass
 class MempoolTx:
     tx: Transaction
     release_time: float  # spam jitter: ineligible for mining before this
 
 
-@dataclass
-class VoterEntry:
-    block: Block
-    parent: bytes
-    chainlen: int
-
-
-@dataclass
-class ProposerEntry:
-    block: Block
-    parent: bytes
-    level: int
-
-
 class VoterTree:
-    """One voter blocktree with longest-chain tip and main-chain votes."""
+    """One voter blocktree: each block's chain length, the longest-chain
+    tip and main-chain votes.  Walks parents through the node's store."""
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, blocks: dict[bytes, Block]):
         self.genesis = genesis_voter_digest(index)
-        self.entries: dict[bytes, VoterEntry] = {}
+        self.blocks = blocks
+        self.chainlens: dict[bytes, int] = {}
         self.tip: bytes = self.genesis
         self.tip_chainlen: int = 0
         # level -> (proposer digest, chainlen of the voting block), first
@@ -83,34 +79,32 @@ class VoterTree:
         self.main_votes: dict[int, tuple[bytes, int]] = {}
 
     def has(self, digest: bytes) -> bool:
-        return digest == self.genesis or digest in self.entries
+        return digest == self.genesis or digest in self.chainlens
 
     def chainlen(self, digest: bytes) -> int:
-        return 0 if digest == self.genesis else self.entries[digest].chainlen
+        return 0 if digest == self.genesis else self.chainlens[digest]
 
     def insert(self, block: Block) -> tuple[bool, list[tuple[int, bytes]], list[tuple[int, bytes]]]:
-        """Insert a voter block whose parent is present.
+        """Insert a stored voter block whose parent is in this tree.
 
         Returns (tip_changed, removed_votes, added_votes) where votes are
         (level, proposer digest) pairs entering/leaving the main chain.
         """
-        parent = block.parent_ref
-        entry = VoterEntry(block, parent, self.chainlen(parent) + 1)
-        self.entries[block.digest] = entry
-        if entry.chainlen <= self.tip_chainlen:
+        parent = block.parent_leaf
+        chainlen = self.chainlen(parent) + 1
+        self.chainlens[block.digest] = chainlen
+        if chainlen <= self.tip_chainlen:
             return False, [], []  # shorter or tie: first arrival keeps the tip
         added: list[tuple[int, bytes]] = []
         removed: list[tuple[int, bytes]] = []
         if parent == self.tip:
             for level, digest in block.content.votes:
                 if level not in self.main_votes:
-                    self.main_votes[level] = (digest, entry.chainlen)
+                    self.main_votes[level] = (digest, chainlen)
                     added.append((level, digest))
         else:
-            old = dict(self.main_votes)
-            self.main_votes = {}
-            for chain_block in self.walk_from_genesis(block.digest):
-                clen = self.entries[chain_block.digest].chainlen
+            old, self.main_votes = self.main_votes, {}
+            for clen, chain_block in enumerate(self.walk_from_genesis(block.digest), 1):
                 for level, digest in chain_block.content.votes:
                     if level not in self.main_votes:
                         self.main_votes[level] = (digest, clen)
@@ -123,16 +117,16 @@ class VoterTree:
                 if prev is None or prev[0] != digest:
                     added.append((level, digest))
         self.tip = block.digest
-        self.tip_chainlen = entry.chainlen
+        self.tip_chainlen = chainlen
         return True, removed, added
 
     def walk_from_genesis(self, tip: bytes) -> list[Block]:
         chain = []
         digest = tip
         while digest != self.genesis:
-            entry = self.entries[digest]
-            chain.append(entry.block)
-            digest = entry.parent
+            block = self.blocks[digest]
+            chain.append(block)
+            digest = block.parent_leaf
         chain.reverse()
         return chain
 
@@ -166,19 +160,18 @@ class ChainState:
         self.m = m
         self.vote_rule = vote_rule
         self.proposer_genesis = genesis_proposer_digest()
-        self.voter_trees = [VoterTree(i) for i in range(m)]
+        # every stored block of every kind, by digest; the trees keep heights only
+        self.blocks: dict[bytes, Block] = {}
+        self.voter_trees = [VoterTree(i, self.blocks) for i in range(m)]
         self.genesis_digests = frozenset(
             [self.proposer_genesis] + [t.genesis for t in self.voter_trees]
         )
-        # every stored block of every kind, by digest
-        self.blocks: dict[bytes, Block] = {}
 
-        self.prp_entries: dict[bytes, ProposerEntry] = {}
+        self.prp_levels: dict[bytes, int] = {}
         self.prp_by_level: dict[int, list[bytes]] = {}
         self.prp_parent: bytes = self.proposer_genesis
         self.prp_parent_level: int = 0
 
-        self.tx_blocks: dict[bytes, Block] = {}
         self.unref_tx_pool: dict[bytes, None] = {}
         self.unref_prp_pool: dict[bytes, None] = {}
 
@@ -285,22 +278,14 @@ class ChainState:
         """
         if self.seen(block):
             return ["duplicate"]
-        kind = block.block_type.kind
-        parent = block.parent_ref
-        if kind == TRANSACTION:
+        if block.block_type.kind == TRANSACTION:
             changes = self._receive_tx_block(block)
-        elif kind == VOTER:
-            tree = self.voter_trees[block.block_type.chain_index]
-            if tree.has(parent):
-                changes = self._insert_voter(block)
-            elif self.has_block(parent) or parent in self.rejected:
-                return self._reject(block)
-            else:
-                return self._buffer_orphan(block, parent)
         else:
+            parent = block.parent_leaf
             if not self.has_block(parent) and parent not in self.rejected:
                 return self._buffer_orphan(block, parent)
-            changes = self._insert_proposer(block)
+            insert = self._insert_voter if block.block_type.kind == VOTER else self._insert_proposer
+            changes = insert(block)
         # a refused block has already taken its buffered descendants with it
         changes.extend(self._resolve_orphans(block.digest))
         return changes
@@ -314,12 +299,8 @@ class ChainState:
         changes: list[str] = []
         for block in drain_orphans(self.orphans, digest):
             self.orphan_digests.discard(block.digest)
-            if block.block_type.kind != VOTER:
-                changes.extend(self._insert_proposer(block))
-            elif self.voter_trees[block.block_type.chain_index].has(block.parent_ref):
-                changes.extend(self._insert_voter(block))
-            else:
-                changes.extend(self._reject(block))  # the parent is of another chain or kind
+            insert = self._insert_voter if block.block_type.kind == VOTER else self._insert_proposer
+            changes.extend(insert(block))
         return changes
 
     def _reject(self, block: Block) -> list[str]:
@@ -342,7 +323,6 @@ class ChainState:
         return changes
 
     def _receive_tx_block(self, block: Block) -> list[str]:
-        self.tx_blocks[block.digest] = block
         self.blocks[block.digest] = block
         # skip the pool if a proposer block already claimed it before arrival
         if block.digest not in self.referenced_tx_digests:
@@ -363,8 +343,10 @@ class ChainState:
     def _insert_voter(self, block: Block) -> list[str]:
         index = block.block_type.chain_index
         tree = self.voter_trees[index]
+        if not tree.has(block.parent_leaf):
+            return self._reject(block)  # rejected, or of another chain or kind
+        self.blocks[block.digest] = block  # a reorg walk reads it from the store
         tip_changed, removed, added = tree.insert(block)
-        self.blocks[block.digest] = block
         self.voter_blocks_stored += 1
         changes = [f"voter_stored:{index}"]
         if tip_changed:
@@ -390,10 +372,8 @@ class ChainState:
                     if counts[digest] <= 0:
                         del counts[digest]
             for level, digest in added:
-                self.votes_by_level.setdefault(level, {})
-                self.votes_by_level[level][digest] = (
-                    self.votes_by_level[level].get(digest, 0) + 1
-                )
+                counts = self.votes_by_level.setdefault(level, {})
+                counts[digest] = counts.get(digest, 0) + 1
             if self.vote_rule == MOST_VOTED:
                 for level in {level for level, _ in removed + added}:
                     self._recheck_choice(level)
@@ -401,14 +381,12 @@ class ChainState:
         return changes
 
     def _insert_proposer(self, block: Block) -> list[str]:
-        parent = block.parent_ref
-        parent_entry = self.prp_entries.get(parent)
-        if parent_entry is None and parent != self.proposer_genesis:
-            return self._reject(block)  # rejected, or not a proposer block
+        parent = block.parent_leaf
         # the parent is committed by the parent proof; the claimed level is not
-        level = parent_entry.level + 1 if parent_entry else 1
-        entry = ProposerEntry(block, parent, level)
-        self.prp_entries[block.digest] = entry
+        level = _height_above(parent, self.proposer_genesis, self.prp_levels)
+        if level is None:
+            return self._reject(block)  # rejected, or not a proposer block
+        self.prp_levels[block.digest] = level
         self.blocks[block.digest] = block
         changes = ["proposer_stored"]
         level_list = self.prp_by_level.setdefault(level, [])
@@ -474,20 +452,11 @@ class ChainState:
 
     # --- queries ---------------------------------------------------------------
 
-    def longest_chain(self, tree_index: int) -> list[Block]:
-        tree = self.voter_trees[tree_index]
-        return tree.walk_from_genesis(tree.tip)
-
     def candidates_at(self, level: int) -> list[bytes]:
         """Proposer candidates at a level: stored blocks first (arrival
         order), then any digests known only through votes."""
-        stored = list(self.prp_by_level.get(level, []))
-        seen = set(stored)
-        for digest in self.votes_by_level.get(level, {}):
-            if digest not in seen:
-                stored.append(digest)
-                seen.add(digest)
-        return stored
+        stored, voted = self.prp_by_level.get(level, ()), self.votes_by_level.get(level, ())
+        return list(dict.fromkeys([*stored, *voted]))
 
     def first_seen_at(self, level: int) -> bytes | None:
         level_list = self.prp_by_level.get(level)
@@ -507,11 +476,26 @@ class ChainState:
         """Recompute the derived indexes from scratch and compare them
         with the kept ones; raise AssertionError on the first mismatch.
 
-        Covers the vote tallies (from every tree's main-chain votes), the
-        vote choices, the mempool input index, the voter tips and the
-        honest vote lists.  Costs a pass over the whole state: for tests,
-        not runs.
+        Covers the chain lengths and levels (from each block's parent), the
+        vote tallies (from every tree's main-chain votes), the vote choices,
+        the mempool input index, the voter tips and the honest vote lists.
+        Costs a pass over the whole state: for tests, not runs.
         """
+        # a stored block is a transaction block, a proposer block with a
+        # level or a voter block in its own chain, and no other has a height
+        fresh_levels: dict[bytes, int | None] = {}
+        fresh_chainlens: list[dict[bytes, int | None]] = [{} for _ in self.voter_trees]
+        for digest, block in self.blocks.items():
+            kind, parent = block.block_type.kind, block.parent_leaf
+            if kind == PROPOSER:
+                fresh_levels[digest] = _height_above(parent, self.proposer_genesis, self.prp_levels)
+            elif kind == VOTER:
+                i = block.block_type.chain_index
+                tree = self.voter_trees[i]
+                fresh_chainlens[i][digest] = _height_above(parent, tree.genesis, tree.chainlens)
+        _expect_equal("prp_levels", self.prp_levels, fresh_levels)
+        for i, tree in enumerate(self.voter_trees):
+            _expect_equal(f"chain lengths of chain {i}", tree.chainlens, fresh_chainlens[i])
         tallies: dict[int, dict[bytes, int]] = {}
         for tree in self.voter_trees:
             for level, (digest, _) in tree.main_votes.items():
@@ -541,10 +525,7 @@ class ChainState:
         return 1.0 - on_main / total
 
     def proposer_fork_rate(self) -> float:
-        total = len(self.prp_entries)
+        total = len(self.prp_levels)
         if total == 0:
             return 0.0
         return 1.0 - self.prp_parent_level / total
-
-    def max_proposer_level(self) -> int:
-        return self.prp_parent_level

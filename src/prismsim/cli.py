@@ -191,10 +191,25 @@ def cmd_curves(args) -> int:
     return 0
 
 
-def _seed_flag(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+def _checked_flag(convert, ok, meaning: str):
+    """An argparse ``type``: values ``ok`` refuses exit 2 naming the flag."""
+
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {meaning}, got {text!r}")
+
+    return parse
+
+
+_seed_flag = _checked_flag(int, lambda v: v >= 0, "a non-negative integer")
+_count_flag = _checked_flag(int, lambda v: v >= 1, "a positive integer")
+_beta_flag = _checked_flag(float, lambda v: 0.0 < v < 0.5, "a number in (0, 0.5)")
+_positive_flag = _checked_flag(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_delay_flag = _checked_flag(float, lambda v: 0.0 <= v < math.inf, "a non-negative finite number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     curves_p = sub.add_parser("curves", help="emit curve CSVs")
     curves_p.add_argument("kind", choices=["reliability_depth", "spam_jitter", "utilization"])
-    curves_p.add_argument("--beta", type=float, default=0.3)
-    curves_p.add_argument("--m", type=int, default=1000)
+    curves_p.add_argument("--beta", type=_beta_flag, default=0.3)
+    curves_p.add_argument("--m", type=_count_flag, default=1000)
     curves_p.add_argument("--k-max", dest="k_max", type=int, default=30)
-    curves_p.add_argument("--hops", type=float, default=5.0)
-    curves_p.add_argument("--delta", type=float, default=2.0)
+    curves_p.add_argument("--hops", type=_positive_flag, default=5.0)
+    curves_p.add_argument("--delta", type=_delay_flag, default=2.0)
     curves_p.add_argument(
-        "--jitter-grid", dest="jitter_grid", type=float, nargs="+", default=[2.0, 5.0, 10.0, 20.0]
+        "--jitter-grid", dest="jitter_grid", type=_positive_flag, nargs="+", default=[2.0, 5.0, 10.0, 20.0]
     )
     curves_p.add_argument("--no-sim", dest="no_sim", action="store_true")
     curves_p.add_argument("--seed", type=_seed_flag, default=0)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Iterable
 
+from .blocks import PROPOSER, TRANSACTION
 from .chain import ChainState
 from .crypto import SignatureScheme
 from .ledger import CoinId, Transaction, Utxo, execute_with_fee
@@ -300,6 +301,7 @@ def expand_proposer(
     (transaction, id of its containing transaction block) pairs.
     """
     ledger: list[tuple[Transaction, bytes]] = []
+    blocks = state.blocks
     # proposer digests still to visit, and the contents of visited blocks
     # whose transaction blocks come due once everything above them is done
     stack: list = [digest]
@@ -308,18 +310,18 @@ def expand_proposer(
         if isinstance(item, bytes):
             if item == state.proposer_genesis or item in included_prp:
                 continue
-            entry = state.prp_entries.get(item)
-            if entry is None:
+            block = blocks.get(item)
+            if block is None or block.block_type.kind != PROPOSER:
                 raise MissingBlockError(f"proposer block {item.hex()} not stored")
             included_prp.add(item)
-            stack.append(entry.block.content)
-            stack.extend(reversed((entry.parent, *entry.block.content.prp_refs)))
+            stack.append(block.content)
+            stack.extend(reversed((block.parent_leaf, *block.content.prp_refs)))
             continue
         for ref in item.tx_refs:
             if ref in included_tx:
                 continue
-            tx_block = state.tx_blocks.get(ref)
-            if tx_block is None:
+            tx_block = blocks.get(ref)
+            if tx_block is None or tx_block.block_type.kind != TRANSACTION:
                 raise MissingBlockError(f"transaction block {ref.hex()} not stored")
             included_tx.add(ref)
             ledger.extend((tx, ref) for tx in tx_block.content.txs)
@@ -408,7 +410,7 @@ class ConfirmationEngine:
         rule allows, then audit confirmed levels for reversals."""
         while True:
             level = len(self.leaders) + 1
-            if level > self.state.max_proposer_level():
+            if level > self.state.prp_parent_level:
                 break
             tally = make_tally(self.state, level, self.beta, self.epsilon)
             decision = try_confirm_leader(tally)

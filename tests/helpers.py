@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from prismsim.blocks import SortitionParams, validate_block
+from prismsim.blocks import (
+    SortitionParams,
+    genesis_proposer_digest,
+    genesis_voter_digest,
+    validate_block,
+)
 from prismsim.chain import ChainState
 from prismsim.crypto import get_scheme
 from prismsim.ledger import TxInput, TxOutput, Utxo, signed_transaction
@@ -93,6 +98,26 @@ def forge_proposer(params: SortitionParams, parent, level, prp_refs=(), tx_refs=
         votes=[[] for _ in range(params.m)],
     )
     return finish_mining(ctx, params, u_for(params, "proposer"), _FORGE_NONCE[0])
+
+
+def forge_voter(params, chain_index, parent):
+    """Mine a voter block of one chain on a hand-picked parent digest."""
+    vt_parent = [genesis_voter_digest(i) for i in range(params.m)]
+    vt_parent[chain_index] = parent
+    ctx = MinerContext(
+        miner_id=0,
+        hash_power=1.0,
+        prp_parent=genesis_proposer_digest(),
+        prp_parent_level=0,
+        vt_parent=vt_parent,
+        txs=[],
+        unref_prp_refs=(),
+        unref_tx_refs=(),
+        votes=[[] for _ in range(params.m)],
+    )
+    block = finish_mining(ctx, params, u_for(params, "voter", chain_index), 1000 + chain_index)
+    validate_block(block, params, SCHEME)
+    return block
 
 
 def genesis_set(n_coins, value=10, owners=None):

@@ -264,7 +264,7 @@ def pooled_tree_forking(results) -> tuple[float, float, float]:
         state = result.sim.nodes[result.sim.observer].state
         v_total += state.voter_blocks_stored
         v_main += sum(t.tip_chainlen for t in state.voter_trees)
-        p_total += len(state.prp_entries)
+        p_total += len(state.prp_levels)
         p_main += state.prp_parent_level
     voter = 1.0 - v_main / v_total
     proposer = 1.0 - p_main / p_total

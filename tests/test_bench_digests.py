@@ -1,5 +1,5 @@
 """The benchmark's digest contract: every workload runs, passes its
-checks and reproduces its seed-0 report digests.  Two configs that take
+checks and reproduces its report digests at benchmark seeds 0 and 1.  Two configs that take
 strategy paths the workloads do not (most_voted flips, frequent voter
 reorgs) pin their digests here too.
 
@@ -26,26 +26,39 @@ ROOT = Path(__file__).resolve().parent.parent
 # carries config_digest, a hash of the resolved config, which lost the
 # keys.  With config_digest blanked, every report, confirmation trace
 # and latency sample of seeds 0 and 1 is unchanged.
-SEED_0_DIGESTS = [
-    ("desk", 0, "8ee0734e88cd492983ae893c5aecee2b36be25bdb8aa8188c517be894092777c"),
-    ("paper-shape", 0, "d4b27c5579f9f279de75c5e320839c641c4d30a146a63761a6814e7c15a8c93c"),
-    ("double-spend", 0, "0dd717576d9ca9940fa91af4040b404414a12fcbe5007d8770f99e4b9d0dfd34"),
-    ("double-spend", 1, "2377f7cc194936f53b9b5d0b52451f7174a1d5e5bb6708ea18cc315e6677abbe"),
-    ("longest-chain", 0, "5c92ec50ff23f3f72a49e2562482fe50afbf86e4d6a25e4c9b66cad064bc2a65"),
-    ("longest-chain", 1, "f1ad6fdebe20e4b13b205d86ac9db5d3873a51dc3492aa32247dfb1b0e3436ac"),
-    ("longest-chain", 2, "46da015b6244c9a3485386d720b15133d875043a643d13b0c2152adb4a13ab67"),
-]
+BENCH_DIGESTS = {
+    0: [
+        ("desk", 0, "8ee0734e88cd492983ae893c5aecee2b36be25bdb8aa8188c517be894092777c"),
+        ("paper-shape", 0, "d4b27c5579f9f279de75c5e320839c641c4d30a146a63761a6814e7c15a8c93c"),
+        ("double-spend", 0, "0dd717576d9ca9940fa91af4040b404414a12fcbe5007d8770f99e4b9d0dfd34"),
+        ("double-spend", 1, "2377f7cc194936f53b9b5d0b52451f7174a1d5e5bb6708ea18cc315e6677abbe"),
+        ("longest-chain", 0, "5c92ec50ff23f3f72a49e2562482fe50afbf86e4d6a25e4c9b66cad064bc2a65"),
+        ("longest-chain", 1, "f1ad6fdebe20e4b13b205d86ac9db5d3873a51dc3492aa32247dfb1b0e3436ac"),
+        ("longest-chain", 2, "46da015b6244c9a3485386d720b15133d875043a643d13b0c2152adb4a13ab67"),
+    ],
+    1: [
+        ("desk", 1, "735c1d565fcef04e6f2f6de4373401629a75a4ba87ec3be12d4095a35b9329e3"),
+        ("paper-shape", 1, "3f66851957edeb373e4c42c79ab757286cbbf10177e3fbe50bfb242a2d70c430"),
+        ("double-spend", 2, "776b6bb9e80be0f68436eef6ac5695d6697b24c6688735c932b189f01e6893e6"),
+        ("double-spend", 3, "fd0b19cff8f92d0ad93b1bb0aac82351d22245273e978b2d27fc71e4725926e0"),
+        ("longest-chain", 3, "cc281ec8ff9fe7f1e311ae9046da2320ff4aa68c5fa5334e232acba34c441edd"),
+        ("longest-chain", 4, "2a4e3c5719438d38b2afdcb2a7006e8b577250e8cadcfd3e66f1378d0fc4b902"),
+        ("longest-chain", 5, "754f25a550cd54499b21f795fc6e676906bbd33d460639cc1603a41f64fd0fb6"),
+    ],
+}
 
 
-def test_benchmark_digests_at_seed_0():
+@pytest.mark.parametrize("bench_seed", sorted(BENCH_DIGESTS))
+def test_benchmark_digests_at_seed(bench_seed):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--digests", "--seed", "0"],
+        [sys.executable, "perfbench/run.py", "--digests", "--seed", str(bench_seed)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     rows = [line.split() for line in proc.stdout.splitlines() if line.strip()]
-    assert [(name, int(seed), digest) for name, _, seed, digest, _ in rows] == SEED_0_DIGESTS
-    assert [status for *_, status in rows] == ["ok"] * len(SEED_0_DIGESTS)
+    expected = BENCH_DIGESTS[bench_seed]
+    assert [(name, int(seed), digest) for name, _, seed, digest, _ in rows] == expected
+    assert [status for *_, status in rows] == ["ok"] * len(expected)
 
 
 # Strategy paths the benchmark does not run, on criterion 8's config.

@@ -6,12 +6,11 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    KEYS, SCHEME, Bench, forge_proposer, forge_tx_block, genesis_set, make_params, spend, u_for,
+    KEYS, SCHEME, Bench, forge_proposer, forge_tx_block, forge_voter, genesis_set, make_params, spend,
 )
 
-from prismsim.blocks import genesis_proposer_digest, genesis_voter_digest, validate_block
+from prismsim.blocks import validate_block
 from prismsim.chain import FIRST_SEEN, MOST_VOTED, ChainState, TxRejected
-from prismsim.mining import MinerContext, finish_mining
 
 
 def test_receive_wellformed_tx_accepted():
@@ -249,7 +248,8 @@ def test_one_vote_per_level_along_main_chain():
         bench.mine(str(kind), chain_index=int(rng.integers(bench.params.m)))
     for i in range(bench.params.m):
         seen_levels = []
-        for block in bench.state.longest_chain(i):
+        tree = bench.state.voter_trees[i]
+        for block in tree.walk_from_genesis(tree.tip):
             for level, _ in block.content.votes:
                 seen_levels.append(level)
         assert len(seen_levels) == len(set(seen_levels))
@@ -279,9 +279,8 @@ def test_shuffled_delivery_matches_in_order_state():
         for idx in order:
             shuffled.receive_block(history[idx])
         assert not shuffled.orphans
-        assert {d: e.parent for d, e in shuffled.prp_entries.items()} == {
-            d: e.parent for d, e in in_order.prp_entries.items()
-        }
+        assert shuffled.blocks.keys() == in_order.blocks.keys()
+        assert shuffled.prp_levels == in_order.prp_levels
         assert shuffled.prp_by_level == in_order.prp_by_level
         assert (shuffled.prp_parent, shuffled.prp_parent_level) == (
             in_order.prp_parent, in_order.prp_parent_level
@@ -350,26 +349,11 @@ def test_deep_voter_chain_delivered_tip_first():
     assert tree.tip == chain[-1].digest and tree.tip_chainlen == 5000
 
 
-def _scan(state, digest):
-    """Reference lookup: search the pools and every tree."""
-    if digest in state.prp_entries:
-        return state.prp_entries[digest].block
-    if digest in state.tx_blocks:
-        return state.tx_blocks[digest]
-    for tree in state.voter_trees:
-        if digest in tree.entries:
-            return tree.entries[digest].block
-    return None
-
-
 def test_block_lookup_agrees_with_trees_and_pools():
     bench = Bench(m=3)
-    bench.mine("transaction")
-    bench.mine("proposer")
-    for i in (0, 2, 2, 1):
-        bench.mine("voter", chain_index=i)
-    bench.mine("proposer")
-    bench.mine("transaction")
+    mined = [bench.mine("transaction"), bench.mine("proposer")]
+    mined += [bench.mine("voter", chain_index=i) for i in (0, 2, 2, 1)]
+    mined += [bench.mine("proposer"), bench.mine("transaction")]
     # orphans: a voter block and a proposer block whose parents never arrive
     other = Bench(m=3, seed=9)
     other.mine("voter", chain_index=1)
@@ -380,21 +364,16 @@ def test_block_lookup_agrees_with_trees_and_pools():
         assert "orphaned" in bench.state.receive_block(block)
 
     state = bench.state
-    stored = (
-        list(state.tx_blocks)
-        + list(state.prp_entries)
-        + [d for tree in state.voter_trees for d in tree.entries]
-    )
-    assert len(stored) == 8
-    for digest in stored:
-        assert state.has_block(digest)
-        assert state.get_block(digest) is _scan(state, digest)
+    state.check_invariants()  # each stored block has exactly one height record of its kind
+    assert list(state.blocks) == [block.digest for block in mined]
+    for block in mined:
+        assert state.has_block(block.digest)
+        assert state.get_block(block.digest) is block
     genesis = [state.proposer_genesis] + [tree.genesis for tree in state.voter_trees]
     for digest in genesis:
         assert state.has_block(digest) and state.get_block(digest) is None
     for block in orphans:
         assert not state.has_block(block.digest) and state.get_block(block.digest) is None
-        assert _scan(state, block.digest) is None
     assert not state.has_block(b"\x77" * 32) and state.get_block(b"\x77" * 32) is None
 
 
@@ -406,26 +385,6 @@ def relevel(block, level):
     return twin
 
 
-def forge_voter(params, chain_index, parent):
-    """Mine a voter block of one chain on a hand-picked parent digest."""
-    vt_parent = [genesis_voter_digest(i) for i in range(params.m)]
-    vt_parent[chain_index] = parent
-    ctx = MinerContext(
-        miner_id=0,
-        hash_power=1.0,
-        prp_parent=genesis_proposer_digest(),
-        prp_parent_level=0,
-        vt_parent=vt_parent,
-        txs=[],
-        unref_prp_refs=(),
-        unref_tx_refs=(),
-        votes=[[] for _ in range(params.m)],
-    )
-    block = finish_mining(ctx, params, u_for(params, "voter", chain_index), 1000 + chain_index)
-    validate_block(block, params, SCHEME)
-    return block
-
-
 def test_claimed_level_is_ignored_on_a_forged_proposer():
     params = make_params(m=2)
     state = ChainState(2)
@@ -433,7 +392,7 @@ def test_claimed_level_is_ignored_on_a_forged_proposer():
     validate_block(forged, params, SCHEME)  # the claimed level is not checked
     assert forged.level == 3
     assert state.receive_block(forged) == ["proposer_stored", "new_proposer_level:1", "prp_parent:1"]
-    assert state.prp_entries[forged.digest].level == 1
+    assert state.prp_levels[forged.digest] == 1
     assert state.prp_by_level == {1: [forged.digest]}
     child = relevel(forge_proposer(params, forged.digest, level=4), 0)
     validate_block(child, params, SCHEME)
@@ -460,7 +419,7 @@ def test_level_tampered_copy_is_a_duplicate(parent_first, tampered_first):
     for copy in (honest, tampered, relevel(honest, 1)):
         assert state.receive_block(copy) == ["duplicate"]
     assert state.get_block(honest.digest) is first
-    assert state.prp_entries[honest.digest].level == 2
+    assert state.prp_levels[honest.digest] == 2
     assert state.prp_by_level == {1: [parent.digest], 2: [honest.digest]}
     assert state.prp_parent == honest.digest and state.prp_parent_level == 2
     assert not state.orphans and not state.orphan_digests
@@ -509,7 +468,7 @@ def test_proposer_on_a_parent_of_another_kind_rejected_with_descendants():
         assert state.receive_block(block) == ["duplicate"]
     late = forge_proposer(params, child.digest, level=3)
     assert state.receive_block(late) == ["rejected:bad_parent"]
-    assert state.prp_entries == {} and state.prp_parent_level == 0
+    assert state.prp_levels == {} and state.prp_parent_level == 0
     # on a transaction block that arrives later: refused once it arrives
     tx_block = forge_tx_block(params, [])
     on_tx_block = forge_proposer(params, tx_block.digest, level=1)
@@ -544,7 +503,7 @@ def test_voter_block_on_a_parent_outside_its_chain_rejected():
     assert not state.orphans and not state.orphan_digests
     for block in waiting:
         assert state.receive_block(block) == ["duplicate"]
-    assert state.voter_trees[0].entries == {} and state.voter_blocks_stored == 1
+    assert state.voter_trees[0].chainlens == {} and state.voter_blocks_stored == 1
 
 
 # --- kept honest vote lists ------------------------------------------------------
@@ -661,6 +620,19 @@ def _stale_vote_list(state):
     state.vote_lists[2] = []
 
 
+def _drift_chainlen(state):
+    tree = state.voter_trees[0]
+    tree.chainlens[tree.tip] += 1
+
+
+def _drift_level(state):
+    state.prp_levels[state.prp_parent] += 1
+
+
+def _proposer_in_a_voter_tree(state):
+    state.voter_trees[1].chainlens[state.prp_parent] = 1
+
+
 @pytest.mark.parametrize(
     "drift, index",
     [
@@ -668,6 +640,9 @@ def _stale_vote_list(state):
         (_drift_choice, "vote_choices"),
         (_drop_mempool_input, "mempool_inputs"),
         (_stale_vote_list, "honest vote list"),
+        (_drift_chainlen, "chain lengths of chain 0"),
+        (_drift_level, "prp_levels"),
+        (_proposer_in_a_voter_tree, "chain lengths of chain 1"),
     ],
 )
 def test_check_invariants_reports_a_drifted_index(drift, index):

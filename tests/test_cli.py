@@ -74,6 +74,25 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    [
+        ("utilization", "--hops", "0"),
+        ("spam_jitter", "--jitter-grid", "0"),
+        ("reliability_depth", "--beta", "0.7"),
+        ("reliability_depth", "--m", "0"),
+        ("spam_jitter", "--delta", "-1"),
+    ],
+)
+def test_bad_curves_flag_exits_2_naming_it(tmp_path, capsys, kind, flag, value):
+    # each crashed with a ZeroDivisionError or ValueError traceback
+    with pytest.raises(SystemExit) as exit_:
+        main(["curves", kind, flag, value, "--no-sim", "--out", str(tmp_path / "c.csv")])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_missing_config_file_errors(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
     assert code != 0

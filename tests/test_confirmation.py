@@ -12,6 +12,7 @@ from helpers import (
     Bench,
     forge_proposer,
     forge_tx_block,
+    forge_voter,
     genesis_set,
     make_params,
     spend,
@@ -51,7 +52,7 @@ def confirmed_ledger(state, beta, epsilon, scheme, initial_utxo):
     Returns (leaders, raw ledger, sanitized ledger, final UTXO set).
     """
     leaders = []
-    for level in range(1, state.max_proposer_level() + 1):
+    for level in range(1, state.prp_parent_level + 1):
         decision = try_confirm_leader(make_tally(state, level, beta, epsilon))
         if not decision.confirmed:
             break
@@ -70,7 +71,7 @@ def is_tx_confirmed(tx, state, beta, epsilon, scheme, initial_utxo, max_ledgers=
     transaction survives sanitization in every ledger built from the cross
     product of the per-level confirmed proposer sets."""
     level_sets = []
-    for level in range(1, state.max_proposer_level() + 1):
+    for level in range(1, state.prp_parent_level + 1):
         decision = try_confirm_proposer_set(make_tally(state, level, beta, epsilon))
         if not decision.confirmed:
             break
@@ -378,13 +379,23 @@ def test_single_leader_single_tx_block():
 
 
 def test_build_ledger_missing_block_errors():
+    """A reference to a block that is not stored, or is stored as another
+    kind, cannot be expanded."""
     params = make_params(m=2)
     state = ChainState(2)
-    leader = forge_proposer(params, state.proposer_genesis, 1, tx_refs=[b"\x77" * 32])
-    state.receive_block(leader)
-    with pytest.raises(MissingBlockError):
-        build_ledger([leader.digest], state)
-
+    stored = forge_proposer(params, state.proposer_genesis, 1)
+    voter = forge_voter(params, 0, state.voter_trees[0].genesis)
+    for block in (stored, voter):
+        state.receive_block(block)
+    for refs in (
+        {"tx_refs": [b"\x77" * 32]},
+        {"tx_refs": [stored.digest]},  # a proposer block named as a transaction block
+        {"prp_refs": [voter.digest]},  # a voter block named as a proposer block
+    ):
+        leader = forge_proposer(params, stored.digest, 2, **refs)
+        assert "proposer_stored" in state.receive_block(leader)
+        with pytest.raises(MissingBlockError):
+            build_ledger([leader.digest], state)
 
 
 def test_build_ledger_on_deep_proposer_chain():
@@ -416,14 +427,14 @@ def reference_expansion(leaders, state):
         if d == state.proposer_genesis or d in seen_prp:
             return
         seen_prp.add(d)
-        entry = state.prp_entries[d]
-        visit(entry.parent)
-        for r in entry.block.content.prp_refs:
+        block = state.blocks[d]
+        visit(block.parent_leaf)
+        for r in block.content.prp_refs:
             visit(r)
-        for r in entry.block.content.tx_refs:
+        for r in block.content.tx_refs:
             if r not in seen_tx:
                 seen_tx.add(r)
-                out.extend(state.tx_blocks[r].content.txs)
+                out.extend(state.blocks[r].content.txs)
 
     for d in leaders:
         visit(d)
@@ -568,6 +579,12 @@ def test_is_tx_confirmed_collapses_to_membership_when_singletons():
         )
 
 
+def first_stored_tx(state):
+    """The first transaction of the first transaction block stored."""
+    blocks = state.blocks.values()
+    return next(b for b in blocks if b.block_type.kind == "transaction").content.txs[0]
+
+
 def two_way_level_state(tx_factory):
     """Level 1 has two balanced deep candidates; returns state and both
     candidates' tx payload choices via tx_factory(kind)."""
@@ -621,7 +638,7 @@ def test_is_tx_confirmed_two_way_level():
     state, utxo = two_way_level_state(shared_tx)
     prop_set = try_confirm_proposer_set(make_tally(state, 1, 0.3, 1e-3))
     assert prop_set.confirmed and len(prop_set.candidates) == 2
-    shared = state.tx_blocks[list(state.tx_blocks)[0]].content.txs[0]
+    shared = first_stored_tx(state)
     assert is_tx_confirmed(shared, state, 0.3, 1e-3, SCHEME, utxo)
 
 
@@ -633,12 +650,7 @@ def test_is_tx_confirmed_rejects_double_spend_split():
         return [a], [b]
 
     state, utxo = two_way_level_state(conflicting)
-    left_tx = None
-    for block in state.tx_blocks.values():
-        for tx in block.content.txs:
-            left_tx = tx
-            break
-        break
+    left_tx = first_stored_tx(state)
     assert not is_tx_confirmed(left_tx, state, 0.3, 1e-3, SCHEME, utxo)
 
 
@@ -649,7 +661,7 @@ def test_list_decoding_cap_enforced():
         return [t], [t]
 
     state, utxo = two_way_level_state(shared_tx)
-    tx = state.tx_blocks[list(state.tx_blocks)[0]].content.txs[0]
+    tx = first_stored_tx(state)
     with pytest.raises(ListDecodingCapExceeded):
         is_tx_confirmed(tx, state, 0.3, 1e-3, SCHEME, utxo, max_ledgers=1)
 

@@ -131,7 +131,8 @@ def test_voter_blocks_never_revote_ancestor_levels():
         kind = rng.choice(["proposer", "voter"], p=[0.3, 0.7])
         bench.mine(str(kind), chain_index=int(rng.integers(2)))
     for i in range(2):
-        chain = bench.state.longest_chain(i)
+        tree = bench.state.voter_trees[i]
+        chain = tree.walk_from_genesis(tree.tip)
         voted = set()
         for block in chain:
             for level, _ in block.content.votes:

@@ -451,7 +451,7 @@ def test_forged_level_proposer_stored_and_forwarded_once_per_node():
     assert report.invalid_blocks == 0
     assert sorted(forwards) == list(range(6))
     for node in sim.nodes:
-        assert node.state.prp_entries[forged.digest].level == 1
+        assert node.state.prp_levels[forged.digest] == 1
     assert report.blocks["total"] > 0 and report.conservation_ok
 
 
