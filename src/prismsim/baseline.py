@@ -221,7 +221,8 @@ class LCNode(Peer):
         if not self.state.add_transaction(tx):
             return
         # the longest-chain protocol gossips pending transactions
-        self.sim.gossip(self.id, TX_RELAY, tx, self.sim.tx_bytes, now, exclude=from_peer)
+        sim = self.sim
+        sim.send(self.id, sim.neighbors[self.id], TX_RELAY, tx, sim.tx_bytes, now, sim.held_txs, from_peer)
 
 
 class LongestChainSimulation(EventCore):
@@ -238,6 +239,8 @@ class LongestChainSimulation(EventCore):
 
         n = self.topology.n
         self.nodes = [LCNode(i, self, 1.0 / n) for i in range(n)]
+        self.held_blocks = [node.state.entries for node in self.nodes]
+        self.held_txs = [node.state.seen_txs for node in self.nodes]
         self.observer = 0
 
         self.block_count = 0
@@ -253,6 +256,7 @@ class LongestChainSimulation(EventCore):
     def _handle_event(self, kind: int, payload, now: float) -> None:
         if kind == TX_RELAY:
             receiver, tx, sender = payload
+            self.in_flight.pop((receiver, tx.digest), None)
             self.nodes[receiver].on_transaction(tx, now, sender)
 
     def record_mined(self, block: LCBlock, now: float) -> None:

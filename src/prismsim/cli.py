@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p = sub.add_parser("batch", help="run a seed sweep and aggregate")
     batch_p.add_argument("--config", default=None)
     batch_p.add_argument("--seed", type=_seed_flag, default=None)
-    batch_p.add_argument("--n", type=int, default=10)
+    batch_p.add_argument("--n", type=_count_flag, default=10)
     batch_p.add_argument("--workers", type=int, default=None)
     batch_p.add_argument("--out", default="out")
     batch_p.add_argument("--profile", default=None)
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     curves_p.add_argument("kind", choices=["reliability_depth", "spam_jitter", "utilization"])
     curves_p.add_argument("--beta", type=_beta_flag, default=0.3)
     curves_p.add_argument("--m", type=_count_flag, default=1000)
-    curves_p.add_argument("--k-max", dest="k_max", type=int, default=30)
+    curves_p.add_argument("--k-max", dest="k_max", type=_count_flag, default=30)
     curves_p.add_argument("--hops", type=_positive_flag, default=5.0)
     curves_p.add_argument("--delta", type=_delay_flag, default=2.0)
     curves_p.add_argument(

@@ -7,7 +7,10 @@ pair reproduces the identical event trace on any host.
 
 Block relay is push-on-first-receipt gossip with full blocks.  A block
 sent over a link is serialized at the sender's egress (FIFO per link at
-the configured bandwidth) and then propagates for the link delay.
+the configured bandwidth) and then propagates for the link delay.  Every
+copy is charged to its link, but an arrival is scheduled only to a peer
+that neither holds the item nor has an earlier copy of it on the way:
+any other copy would reach a receiver that has already seen the item.
 
 ``EventCore`` is the part both protocols share: the event heap, the
 link model, the genesis coins and payment workload, mining clocks, the
@@ -229,8 +232,9 @@ class EventCore:
     """Event loop, link model, workload and shared report of one run.
 
     A protocol subclass sets ``protocol``, fills ``nodes`` (``Peer``s
-    with ``on_block``, ``on_mining_complete`` and ``on_transaction``),
-    keeps ``latency_samples`` and provides ``_checkpoint``,
+    with ``on_block``, ``on_mining_complete`` and ``on_transaction``)
+    and ``held_blocks`` (each node's digest-keyed block store), keeps
+    ``latency_samples`` and provides ``_checkpoint``,
     ``_handle_event`` for its own event kinds, ``_wire_size`` and
     ``_protocol_report``.
     """
@@ -249,8 +253,10 @@ class EventCore:
         self.now = 0.0
         self.heap: list = []
         self.seq = 0
-        # directed per-link FIFO egress: (u, v) -> time the link frees up
-        self.link_free: dict[tuple[int, int], float] = {}
+        # directed per-link FIFO egress: link_free[u][v] is when u -> v frees up
+        self.link_free: list[dict[int, float]] = [{} for _ in range(self.topology.n)]
+        # (peer, digest) -> earliest arrival of a scheduled copy not yet delivered
+        self.in_flight: dict[tuple[int, bytes], float] = {}
 
         self.workload_rng = np.random.default_rng([seed, 2])
         self.wallets = [self.scheme.keypair(b"wallet" + i.to_bytes(4, "little")) for i in range(WALLETS)]
@@ -322,20 +328,49 @@ class EventCore:
 
     def _link_arrival(self, sender: int, receiver: int, size: int, now: float) -> float:
         """Egress serialization (FIFO per directed link) plus propagation."""
-        key = (sender, receiver)
-        start = max(now, self.link_free.get(key, 0.0))
-        done = start + size / self.topology.bandwidth
-        self.link_free[key] = done
+        free = self.link_free[sender]
+        done = max(now, free.get(receiver, 0.0)) + size / self.topology.bandwidth
+        free[receiver] = done
         return done + self.topology.delay_s
 
-    def gossip(self, sender: int, kind: int, item, size: int, now: float, exclude: int | None) -> None:
-        """Send ``item`` over every link of ``sender`` except to ``exclude``."""
-        for peer in self.neighbors[sender]:
-            if peer != exclude:
-                self.push(self._link_arrival(sender, peer, size, now), kind, (peer, item, sender))
+    def send(self, sender: int, peers, kind: int, item, size: int, now: float,
+             held: list, exclude: int | None = None, track: bool = True) -> None:
+        """Send ``item`` (with a ``digest``) from ``sender`` to each of
+        ``peers`` but ``exclude``, as ``kind`` events ``(peer, item, sender)``.
+
+        Every copy is charged to its link, so arrival times do not depend
+        on which copies are scheduled.  A copy is dropped when the peer
+        already holds the item (``item.digest in held[peer]``) or, with
+        ``track``, when a tracked copy is due there at the same time or
+        earlier: that copy was pushed first, so it is handled first, and
+        this one would find the item seen.  A receiver keeps no record of
+        some items it refuses (an invalid block counts at every receipt),
+        so their copies must pass ``track=False``.
+        """
+        free = self.link_free[sender]
+        serialize = size / self.topology.bandwidth
+        delay = self.topology.delay_s
+        digest = item.digest
+        in_flight = self.in_flight
+        for peer in peers:
+            if peer == exclude:
+                continue
+            done = max(now, free.get(peer, 0.0)) + serialize
+            free[peer] = done
+            if digest in held[peer]:
+                continue
+            arrival = done + delay
+            if track:
+                key = (peer, digest)
+                first = in_flight.get(key)
+                if first is not None and first <= arrival:
+                    continue
+                in_flight[key] = arrival
+            self.push(arrival, kind, (peer, item, sender))
 
     def broadcast(self, sender: int, block, now: float, exclude: int | None) -> None:
-        self.gossip(sender, ARRIVE, block, self._wire_size(block), now, exclude)
+        self.send(sender, self.neighbors[sender], ARRIVE, block, self._wire_size(block), now,
+                  self.held_blocks, exclude)
 
     # --- main loop ------------------------------------------------------------------------
 
@@ -354,6 +389,7 @@ class EventCore:
 
         heap = self.heap
         nodes = self.nodes
+        in_flight = self.in_flight
         while heap:
             when, _, kind, payload = heapq.heappop(heap)
             if when > self.duration:
@@ -361,6 +397,7 @@ class EventCore:
             self.now = when
             if kind == ARRIVE:
                 receiver, block, sender = payload
+                in_flight.pop((receiver, block.digest), None)
                 nodes[receiver].on_block(block, sender, when)
             elif kind == MINE:
                 # the block's draws (sortition u, nonce) precede the next time
@@ -520,6 +557,7 @@ class Simulation(EventCore):
         self.nodes = [
             Node(i, self, powers[i], not honest_flags[i]) for i in range(self.topology.n)
         ]
+        self.held_blocks = [node.state.blocks for node in self.nodes]
         self.observer = 0  # adversarial nodes are the last ones by id
 
         self.engine = ConfirmationEngine(
@@ -563,6 +601,12 @@ class Simulation(EventCore):
     def _wire_size(self, block: Block) -> int:
         return block_wire_size(block, self.cfg["sizes"])
 
+    def broadcast(self, sender: int, block: Block, now: float, exclude: int | None) -> None:
+        # a copy of an invalid block in flight does not make a later copy a
+        # duplicate: each receipt of it is counted, and the block is not stored
+        self.send(sender, self.neighbors[sender], ARRIVE, block, self._wire_size(block), now,
+                  self.held_blocks, exclude, track=self.is_valid(block))
+
     def push_fetch(self, requester: int, peer: int, digest: bytes, now: float) -> None:
         arrival = self._link_arrival(requester, peer, FETCH_REQUEST_BYTES, now)
         self.push(arrival, FETCH, (peer, requester, digest))
@@ -574,8 +618,8 @@ class Simulation(EventCore):
             peer, requester, digest = payload
             found = self.nodes[peer].state.get_block(digest)
             if found is not None:
-                arrival = self._link_arrival(peer, requester, self._wire_size(found), now)
-                self.push(arrival, ARRIVE, (requester, found, peer))
+                self.send(peer, (requester,), ARRIVE, found, self._wire_size(found), now,
+                          self.held_blocks, track=self.is_valid(found))
 
     def is_valid(self, block: Block) -> bool:
         """Whether ``block`` passes ``validate_block``, checked once per object.

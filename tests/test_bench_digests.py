@@ -61,10 +61,12 @@ def test_benchmark_digests_at_seed(bench_seed):
     assert [status for *_, status in rows] == ["ok"] * len(expected)
 
 
-# Strategy paths the benchmark does not run, on criterion 8's config.
-# Balancing at 0.25 flips most_voted choices (seed 1: 25 flips and 8
-# voter reorgs across nodes; seed 0 has neither).  A ring with one-second
-# links and no adversary reorgs voter chains often (seed 1: 154 reorgs).
+# Paths the benchmark does not run.  On criterion 8's config, balancing
+# at 0.25 flips most_voted choices (seed 1: 25 flips and 8 voter reorgs
+# across nodes; seed 0 has neither), and a ring with one-second links and
+# no adversary reorgs voter chains often (seed 1: 154 reorgs).  The desk
+# profile on 100 nodes of degree 6 is the node axis: gossip races between
+# many peers, where the benchmark's graphs have at most 20 nodes.
 GUARD_CFGS = {
     "balancing": {
         **BALANCING_CFG,
@@ -76,12 +78,14 @@ GUARD_CFGS = {
         "duration": 40.0,
         "topology": {"kind": "ring", "nodes": 8, "delay_s": 1.0},
     },
+    "desk-100": {"duration": 10.0, "topology": {"nodes": 100, "degree": 6}},
 }
 GUARD_DIGESTS = [
     ("balancing", 0, "75a12345dd5b23d9e9c98d1ef8001f5d7c8de861a4d06228262e86dd12f93754"),
     ("balancing", 1, "54a16fe5685aeeac5b8e21846ed6a90c20fcbc1b6d6f11673f8299d5fdddab1b"),
     ("slow-ring", 0, "aa62c8cf0850416ff4d32475a452c27c2ee66c14031755060afd3e87434e289d"),
     ("slow-ring", 1, "b7f50fad0c5e70d224ce8fda17707e56b917fc5907ce4a46db3cbfa697b6df1c"),
+    ("desk-100", 0, "70efbb00091d3dac0fedaa39760c6f15b34a6ddba08ba144f6cb11b3fc880564"),
 ]
 
 

@@ -82,15 +82,28 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
         ("reliability_depth", "--beta", "0.7"),
         ("reliability_depth", "--m", "0"),
         ("spam_jitter", "--delta", "-1"),
+        ("reliability_depth", "--k-max", "0"),
+        ("reliability_depth", "--k-max", "-3"),
     ],
 )
 def test_bad_curves_flag_exits_2_naming_it(tmp_path, capsys, kind, flag, value):
-    # each crashed with a ZeroDivisionError or ValueError traceback
+    # each crashed with a ZeroDivisionError or ValueError traceback, or
+    # (--k-max) wrote a header-only CSV and exited 0
     with pytest.raises(SystemExit) as exit_:
         main(["curves", kind, flag, value, "--no-sim", "--out", str(tmp_path / "c.csv")])
     assert exit_.value.code == 2
     assert f"argument {flag}: must be" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_batch_of_no_runs_exits_2_naming_n(tmp_path, capsys):
+    # it wrote an aggregate.json over zero runs and exited 0
+    cfg_path = write_config(tmp_path, SMALL)
+    with pytest.raises(SystemExit) as exit_:
+        main(["batch", "--config", cfg_path, "--n", "0", "--out", str(tmp_path / "batch")])
+    assert exit_.value.code == 2
+    assert "argument --n: must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "batch").exists()
 
 
 def test_missing_config_file_errors(tmp_path, capsys):

@@ -11,10 +11,11 @@ import pytest
 from scipy import stats
 
 from helpers import Bench, forge_proposer
+from test_acceptance import BALANCING_CFG, SAFETY_CFG
 
 import prismsim
 from prismsim.adversary import install_strategies
-from prismsim.baseline import LongestChainSimulation
+from prismsim.baseline import LCBlock, LongestChainSimulation
 from prismsim.config import ConfigError, resolve
 from prismsim.netsim import (
     ARRIVE,
@@ -514,3 +515,112 @@ def test_runs_identical_across_processes_and_hash_seeds():
         outputs.append(digests)
     assert len(outputs[0]) == 2
     assert outputs[0] == outputs[1]
+
+
+# --- skipped gossip copies ----------------------------------------------------------
+
+PROBE = -1  # a copy the send path skipped, at the time it would have arrived
+
+
+def _prism_seen(node, item) -> bool:
+    return node.state.seen(item)
+
+
+def _lc_seen(node, item) -> bool:
+    if isinstance(item, LCBlock):
+        return node.state.has(item.digest)
+    return item.digest in node.state.seen_txs
+
+
+# name -> (config, seed, (new receipts, duplicates) of on_block): short runs
+# of honest Prism on a ring, private double spend, balancing and the longest
+# chain, which relays payments.  With every copy scheduled, the new receipts
+# were the same and the duplicates were 120, 6,688, 3,672 and 112.  The
+# duplicates left are races: a copy sent later that overtakes the one first
+# scheduled to the same peer.
+SKIP_RUNS = {
+    "ring": ({**PRISM_SMALL, "topology": {"kind": "ring", "nodes": 8, "delay_s": 0.12}}, 0, (432, 0)),
+    "double-spend": ({**SAFETY_CFG, "duration": 10.0}, 0, (2419, 3)),
+    "balancing": (
+        {**BALANCING_CFG, "duration": 10.0, "adversary": {"strategy": "balancing", "fraction": 0.25}},
+        1,
+        (1442, 1),
+    ),
+    "longest-chain": ({**LC_SMALL, "duration": 20.0}, 0, (40, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIP_RUNS))
+def test_skipped_copies_reach_only_receivers_that_have_the_item(name):
+    overlay, seed, expected = SKIP_RUNS[name]
+    cfg = resolve(overlay)
+    if cfg["protocol"] == "longest_chain":
+        sim, seen = LongestChainSimulation(cfg, seed), _lc_seen
+    else:
+        sim, seen = Simulation(cfg, seed), _prism_seen
+        if cfg["adversary"]["strategy"] != "none":
+            install_strategies(sim)
+    send, handle_event = sim.send, sim._handle_event
+    skipped, probed = [], []
+
+    def watched_send(sender, peers, kind, item, size, now, held, exclude=None, track=True):
+        scheduled = []
+        sim.push = lambda *event: scheduled.append(event)
+        try:
+            send(sender, peers, kind, item, size, now, held, exclude, track)
+        finally:
+            del sim.push
+        for event in scheduled:
+            sim.push(*event)
+        receivers = {payload[0] for _, _, payload in scheduled}
+        for peer in peers:
+            if peer != exclude and peer not in receivers:
+                # the copy's egress was charged: its arrival is link_free + delay
+                arrival = sim.link_free[sender][peer] + sim.topology.delay_s
+                skipped.append(arrival)
+                sim.push(arrival, PROBE, (peer, item))
+
+    def probing_handle_event(kind, payload, now):
+        if kind != PROBE:
+            return handle_event(kind, payload, now)
+        peer, item = payload
+        assert seen(sim.nodes[peer], item), (name, peer, now)
+        probed.append(payload)
+
+    receipts = {"new": 0, "duplicate": 0}
+    calls = 0
+
+    def counting(node):
+        on_block = node.on_block
+
+        def counted(block, from_peer, now):
+            nonlocal calls
+            calls += 1
+            receipts["duplicate" if seen(node, block) else "new"] += 1
+            on_block(block, from_peer, now)
+
+        return counted
+
+    sim.send, sim._handle_event = watched_send, probing_handle_event
+    for node in sim.nodes:
+        node.on_block = counting(node)
+    sim.run()
+
+    assert probed and len(probed) == sum(1 for when in skipped if when <= sim.duration)
+    assert calls == receipts["new"] + receipts["duplicate"]
+    assert (receipts["new"], receipts["duplicate"]) == expected
+
+
+def test_a_forged_copy_in_flight_does_not_hide_the_honest_block():
+    # a forged body under an honest header has the honest block's digest;
+    # it is counted invalid at each receipt and stored nowhere, so the
+    # honest copy queued behind it on the same links must still arrive
+    sim = Simulation(small_cfg(topology={"kind": "complete", "nodes": 3}), seed=0)
+    good = Bench(m=10, seed=2).mine("voter", chain_index=3, deliver=False)
+    forged = copy.copy(good)
+    forged.content = type(good.content)(((7, b"\x01" * 32),))
+    sim.broadcast(0, forged, 0.5, exclude=None)
+    sim.broadcast(0, good, 0.5, exclude=None)
+    _deliver_queued(sim)
+    assert sim.invalid_blocks == 2
+    assert all(node.state.has_block(good.digest) for node in sim.nodes[1:])
