@@ -38,7 +38,7 @@ utxo = {coin.id: coin}
 tx = signed_transaction(scheme, [TxInput(*coin.id)], [TxOutput(10, keys[1].public)], [keys[0]])
 state.receive_transaction(tx, 0.0, scheme)
 
-ctx = honest_context(state, miner_id=0, hash_power=1.0, now=0.0, tx_capacity=100)
+ctx = honest_context(state, miner_id=0, now=0.0, tx_capacity=100)
 for nonce, u in enumerate([0.97, 0.80, 0.05], start=1):
     block = finish_mining(ctx, params, u, nonce=nonce)
     validate_block(block, params, scheme)  # sortition proofs check out
@@ -52,13 +52,13 @@ print("=== ledger formation: duplicate and conflicting payments ===")
 from prismsim.mining import MinerContext
 
 def forge_tx_block(txs, nonce):
-    c = MinerContext(0, 1.0, state.proposer_genesis, 0,
+    c = MinerContext(0, state.proposer_genesis, 0,
                      [t.genesis for t in state.voter_trees], list(txs), (), (),
                      [[] for _ in range(m)])
     return finish_mining(c, params, 0.80, nonce)
 
 def forge_proposer(parent, level, prp_refs, tx_refs, nonce):
-    c = MinerContext(0, 1.0, parent, level - 1,
+    c = MinerContext(0, parent, level - 1,
                      [t.genesis for t in state.voter_trees], [], tuple(prp_refs),
                      tuple(tx_refs), [[] for _ in range(m)])
     return finish_mining(c, params, 0.97, nonce)

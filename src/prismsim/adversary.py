@@ -45,7 +45,7 @@ class CensorshipStrategy(Strategy):
 
     def build_context(self, now: float) -> MinerContext:
         node = self.node
-        ctx = honest_context(node.state, node.id, node.hash_power, now, self.sim.tx_capacity)
+        ctx = honest_context(node.state, node.id, now, self.sim.tx_capacity)
         ctx.txs = []
         ctx.unref_prp_refs = ()
         ctx.unref_tx_refs = ()
@@ -69,7 +69,7 @@ class BalancingStrategy(Strategy):
     def build_context(self, now: float) -> MinerContext:
         node = self.node
         state = node.state
-        ctx = honest_context(node.state, node.id, node.hash_power, now, self.sim.tx_capacity)
+        ctx = honest_context(node.state, node.id, now, self.sim.tx_capacity)
         runner_up: dict[int, bytes | None] = {}
         for i, honest in enumerate(ctx.votes):
             # the honest list holds each unvoted level once, in order
@@ -184,7 +184,7 @@ class PrivateDoubleSpendStrategy(Strategy):
             return None
         node = self.node
         state = node.state
-        ctx = honest_context(state, node.id, node.hash_power, now, self.sim.tx_capacity)
+        ctx = honest_context(state, node.id, now, self.sim.tx_capacity)
         for i in range(state.m):
             ctx.replace_parent(i, self._fork(i).tip)
             ctx.replace_votes(i, self._private_votes(i))

@@ -176,9 +176,10 @@ class ChainState:
         self.unref_prp_pool: dict[bytes, None] = {}
 
         self.mempool: dict[bytes, MempoolTx] = {}
-        self.mempool_inputs: dict[CoinId, bytes] = {}
-        self.mined_tx_digests: set[bytes] = set()
-        self.mined_inputs: set[CoinId] = set()
+        # every coin a pooled or stored transaction spends: the digest of
+        # the mempool transaction spending it, or None once a stored
+        # transaction block spends it
+        self.spent_coins: dict[CoinId, bytes | None] = {}
 
         # main-chain vote tallies across all trees: level -> digest -> count
         self.votes_by_level: dict[int, dict[bytes, int]] = {}
@@ -214,19 +215,20 @@ class ChainState:
     ) -> Accepted | TxRejected:
         """Admit to the mempool unless malformed or conflicting.
 
-        ``release_time`` carries the spam-jitter delay; until then the
-        transaction is ineligible for inclusion in mined blocks.
+        A transaction conflicts if any coin it spends is in the coin index.
+        A pooled or mined transaction has claimed all its coins, so a repeat
+        of one conflicts too.  ``release_time`` carries the spam-jitter
+        delay; until then the transaction is ineligible for inclusion in
+        mined blocks.
         """
         if not tx.signatures_well_formed(scheme):
             return TxRejected("BadSignature")
-        if tx.digest in self.mempool or tx.digest in self.mined_tx_digests:
+        spent = self.spent_coins
+        if not spent.keys().isdisjoint(tx.inputs):
             return TxRejected("Conflict")
-        for coin in tx.input_ids():
-            if coin in self.mined_inputs or coin in self.mempool_inputs:
-                return TxRejected("Conflict")
         self.mempool[tx.digest] = MempoolTx(tx, release_time if release_time is not None else now)
-        for coin in tx.input_ids():
-            self.mempool_inputs[coin] = tx.digest
+        for coin in tx.inputs:
+            spent[coin] = tx.digest
         return TX_ACCEPTED
 
     def eligible_transactions(self, now: float, capacity: int) -> list[Transaction]:
@@ -238,14 +240,6 @@ class ChainState:
                 if len(out) >= capacity:
                     break
         return out
-
-    def _drop_mempool_tx(self, digest: bytes) -> None:
-        entry = self.mempool.pop(digest, None)
-        if entry is None:
-            return
-        for coin in entry.tx.input_ids():
-            if self.mempool_inputs.get(coin) == digest:
-                del self.mempool_inputs[coin]
 
     # --- blocks ---------------------------------------------------------------
 
@@ -327,17 +321,17 @@ class ChainState:
         # skip the pool if a proposer block already claimed it before arrival
         if block.digest not in self.referenced_tx_digests:
             self.unref_tx_pool[block.digest] = None
-        spent: set[CoinId] = set()
+        # each coin the block spends is mined from here on, and the mempool
+        # transaction that held it goes: the block's own transaction, or a
+        # conflicting spend (spam rule)
+        spent, mempool = self.spent_coins, self.mempool
         for tx in block.content.txs:
-            self.mined_tx_digests.add(tx.digest)
-            self._drop_mempool_tx(tx.digest)
-            spent.update(tx.input_ids())
-        self.mined_inputs.update(spent)
-        # spam rule: conflicting mempool transactions are dropped too
-        for coin in spent:
-            holder = self.mempool_inputs.get(coin)
-            if holder is not None:
-                self._drop_mempool_tx(holder)
+            for coin in tx.inputs:
+                holder = spent.get(coin)
+                if holder is not None:
+                    for held in mempool.pop(holder).tx.inputs:
+                        spent.pop(held, None)
+                spent[coin] = None
         return ["tx_block"]
 
     def _insert_voter(self, block: Block) -> list[str]:
@@ -478,7 +472,8 @@ class ChainState:
 
         Covers the chain lengths and levels (from each block's parent), the
         vote tallies (from every tree's main-chain votes), the vote choices,
-        the mempool input index, the voter tips and the honest vote lists.
+        the coin index (from the mempool and every stored transaction
+        block), the voter tips and the honest vote lists.
         Costs a pass over the whole state: for tests, not runs.
         """
         # a stored block is a transaction block, a proposer block with a
@@ -506,12 +501,13 @@ class ChainState:
         levels = range(1, self.prp_parent_level + 1)
         choices = {level: self.vote_choice(level) for level in levels}
         _expect_equal("vote_choices", self.vote_choices, choices)
-        inputs = {
-            coin: digest
-            for digest, entry in self.mempool.items()
-            for coin in entry.tx.input_ids()
+        coins: dict[CoinId, bytes | None] = {
+            coin: digest for digest, entry in self.mempool.items() for coin in entry.tx.inputs
         }
-        _expect_equal("mempool_inputs", self.mempool_inputs, inputs)
+        for block in self.blocks.values():
+            if block.block_type.kind == TRANSACTION:
+                coins.update((coin, None) for tx in block.content.txs for coin in tx.inputs)
+        _expect_equal("spent_coins", self.spent_coins, coins)
         _expect_equal("voter_tips", self.voter_tips, [t.tip for t in self.voter_trees])
         for i, tree in enumerate(self.voter_trees):
             fresh = [(level, choices[level]) for level in levels if level not in tree.main_votes]

@@ -1,6 +1,8 @@
 """UTXO state, transaction execution and ledger sanitization.
 
-Transactions are multi-input multi-output pay-to-public-key payments.
+Transactions are multi-input multi-output pay-to-public-key payments.  An
+input is the id of the coin it spends: a ``(txid, index)`` tuple that keys
+UTXO sets and coin indexes as it is.
 Sanitization is the sequential fold of :func:`execute` over an ordered
 transaction list; :func:`sanitize_parallel` reproduces it bit-exactly with
 a scoreboard-gated worker pool.
@@ -11,7 +13,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .crypto import KeyPair, SignatureScheme, sha256
 from .serialize import lp_bytes, u32, u64
@@ -31,14 +33,11 @@ class Utxo:
         return (self.txid, self.index)
 
 
-@dataclass(frozen=True)
-class TxInput:
+class TxInput(NamedTuple):
+    """The coin an input spends; equal to, and hashed as, its ``CoinId``."""
+
     txid: bytes
     index: int
-
-    @property
-    def id(self) -> CoinId:
-        return (self.txid, self.index)
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,8 @@ class TxOutput:
 
 
 class Transaction:
-    """Payment spending existing coins into new ones.
+    """Payment spending existing coins, named by their ids in ``inputs``,
+    into new ones.
 
     ``signatures`` is a list of (public key, signature) pairs, one per
     input, each signing the body digest.  The transaction id is the
@@ -90,9 +90,6 @@ class Transaction:
             parts.append(u64(txout.value))
             parts.append(lp_bytes(txout.owner))
         return b"".join(parts)
-
-    def input_ids(self) -> tuple[CoinId, ...]:
-        return tuple(txin.id for txin in self.inputs)
 
     def output_ids(self) -> tuple[CoinId, ...]:
         return tuple((self.digest, i) for i in range(len(self.outputs)))
@@ -155,7 +152,7 @@ def execute(tx: Transaction, utxo_set: dict[CoinId, Utxo], scheme: SignatureSche
     """
     coins = []
     for txin in tx.inputs:
-        utxo = utxo_set.get(txin.id)
+        utxo = utxo_set.get(txin)
         if utxo is None:
             return Rejected("MissingInput")
         coins.append(utxo)
@@ -171,7 +168,7 @@ def execute(tx: Transaction, utxo_set: dict[CoinId, Utxo], scheme: SignatureSche
     if total_out > total_in:
         return Rejected("ValueOverspend")
     for txin in tx.inputs:
-        del utxo_set[txin.id]
+        del utxo_set[txin]
     for i, txout in enumerate(tx.outputs):
         utxo_set[(tx.digest, i)] = Utxo(tx.digest, i, txout.value, txout.owner)
     return APPLIED
@@ -179,7 +176,7 @@ def execute(tx: Transaction, utxo_set: dict[CoinId, Utxo], scheme: SignatureSche
 
 def execute_with_fee(tx: Transaction, utxo_set: dict[CoinId, Utxo], scheme: SignatureScheme) -> int | None:
     """:func:`execute`, returning the fee when ``tx`` applied and None otherwise."""
-    value_in = sum(utxo_set[c].value for c in tx.input_ids() if c in utxo_set)
+    value_in = sum(utxo_set[c].value for c in tx.inputs if c in utxo_set)
     if execute(tx, utxo_set, scheme) is not APPLIED:
         return None
     return value_in - sum(o.value for o in tx.outputs)
@@ -234,7 +231,7 @@ def sanitize_parallel(
 
     n = len(txs)
     applied_flags = [False] * n
-    coin_sets = [set(tx.input_ids()) | set(tx.output_ids()) for tx in txs]
+    coin_sets = [set(tx.inputs).union(tx.output_ids()) for tx in txs]
     scoreboard: set[CoinId] = set()  # coins of in-flight and held txs
     lock = threading.Lock()
     done = threading.Condition(lock)

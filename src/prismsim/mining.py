@@ -46,7 +46,6 @@ class MinerContext:
     """
 
     miner_id: int
-    hash_power: float
     prp_parent: bytes
     prp_parent_level: int
     vt_parent: list[bytes]
@@ -68,9 +67,7 @@ class MinerContext:
         self.replaced.add(chain)
 
 
-def honest_context(
-    state: ChainState, miner_id: int, hash_power: float, now: float, tx_capacity: int
-) -> MinerContext:
+def honest_context(state: ChainState, miner_id: int, now: float, tx_capacity: int) -> MinerContext:
     """Snapshot a node's state the way an honest miner assembles it.
 
     Voter content carries one vote per unvoted level of that chain, in
@@ -83,7 +80,6 @@ def honest_context(
     prp_refs = tuple(d for d in state.unref_prp_pool if d != state.prp_parent)
     return MinerContext(
         miner_id=miner_id,
-        hash_power=hash_power,
         prp_parent=state.prp_parent,
         prp_parent_level=state.prp_parent_level,
         vt_parent=list(state.voter_tips),
@@ -138,7 +134,7 @@ def _content(ctx: MinerContext, index: int) -> Content:
 
 
 def assemble_superblock(
-    ctx: MinerContext, params: SortitionParams, last: LastSuperblock | None = None
+    ctx: MinerContext, last: LastSuperblock | None = None
 ) -> tuple[list[bytes], list[bytes], bytes, bytes]:
     """Parent and content leaf lists in the committed index layout, with
     their roots.
@@ -233,7 +229,7 @@ def finish_mining(
     rehashed; a caller that mines once may omit it.
     """
     last = last or LastSuperblock()
-    parents, _, parent_root, content_root = assemble_superblock(ctx, params, last)
+    parents, _, parent_root, content_root = assemble_superblock(ctx, last)
     block_type = sortition(u, params)
     index = block_type.leaf_index(params.m)
     return Block(

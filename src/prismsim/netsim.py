@@ -478,9 +478,7 @@ class Node(Peer):
             ctx = self.strategy.build_context(now)
             if ctx is not None:
                 return ctx
-        return honest_context(
-            self.state, self.id, self.hash_power, now, self.sim.tx_capacity
-        )
+        return honest_context(self.state, self.id, now, self.sim.tx_capacity)
 
     def on_mining_complete(self, now: float) -> None:
         ctx = self.build_context(now)

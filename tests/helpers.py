@@ -45,7 +45,7 @@ class Bench:
         self.last_superblock = LastSuperblock()
 
     def context(self, miner_id=0, tx_capacity=100) -> MinerContext:
-        return honest_context(self.state, miner_id, 1.0, self.now, tx_capacity)
+        return honest_context(self.state, miner_id, self.now, tx_capacity)
 
     def mine(self, kind: str, chain_index: int = 0, miner_id: int = 0, deliver=True):
         """Mine a block of the given type from the current state."""
@@ -71,7 +71,6 @@ def forge_tx_block(params: SortitionParams, txs, miner_id=0) -> "Block":
     _FORGE_NONCE[0] += 1
     ctx = MinerContext(
         miner_id=miner_id,
-        hash_power=1.0,
         prp_parent=ChainState(params.m).proposer_genesis,
         prp_parent_level=0,
         vt_parent=[ChainState(params.m).voter_trees[i].genesis for i in range(params.m)],
@@ -88,7 +87,6 @@ def forge_proposer(params: SortitionParams, parent, level, prp_refs=(), tx_refs=
     _FORGE_NONCE[0] += 1
     ctx = MinerContext(
         miner_id=miner_id,
-        hash_power=1.0,
         prp_parent=parent,
         prp_parent_level=level - 1,
         vt_parent=[ChainState(params.m).voter_trees[i].genesis for i in range(params.m)],
@@ -106,7 +104,6 @@ def forge_voter(params, chain_index, parent):
     vt_parent[chain_index] = parent
     ctx = MinerContext(
         miner_id=0,
-        hash_power=1.0,
         prp_parent=genesis_proposer_digest(),
         prp_parent_level=0,
         vt_parent=vt_parent,

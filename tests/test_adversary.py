@@ -199,7 +199,7 @@ def test_censorship_blocks_are_empty():
 
 def _balancing_on(bench):
     strategy = BalancingStrategy()
-    node = SimpleNamespace(state=bench.state, id=5, hash_power=1.0)
+    node = SimpleNamespace(state=bench.state, id=5)
     strategy.attach(SimpleNamespace(tx_capacity=100), node)
     return strategy
 

@@ -1,7 +1,8 @@
 """The benchmark's digest contract: every workload runs, passes its
-checks and reproduces its report digests at benchmark seeds 0 and 1.  Two configs that take
-strategy paths the workloads do not (most_voted flips, frequent voter
-reorgs) pin their digests here too.
+checks and reproduces its report digests at benchmark seeds 0 and 1.
+Configs that take paths the workloads do not (most_voted flips, frequent
+voter reorgs, 100 nodes, the spam rule, 2000 tx/s) pin their digests
+here too.
 
 ``perfbench/checks.py`` reads the program's objects (confirmed leaders,
 their levels, ledgers); a change that breaks what it reads, or that
@@ -66,7 +67,12 @@ def test_benchmark_digests_at_seed(bench_seed):
 # across nodes; seed 0 has neither), and a ring with one-second links and
 # no adversary reorgs voter chains often (seed 1: 154 reorgs).  The desk
 # profile on 100 nodes of degree 6 is the node axis: gossip races between
-# many peers, where the benchmark's graphs have at most 20 nodes.
+# many peers, where the benchmark's graphs have at most 20 nodes.  Spam
+# is criterion 9's uniform-jitter setup with honest payments beside it:
+# the spam rule drops mempool transactions whose coins a stored block
+# spends (seed 0: 37 conflict sets).  High-tps is the desk profile at
+# 2000 tx/s with room in the blocks: thousands of transactions per block
+# through every node's coin index.
 GUARD_CFGS = {
     "balancing": {
         **BALANCING_CFG,
@@ -79,6 +85,18 @@ GUARD_CFGS = {
         "topology": {"kind": "ring", "nodes": 8, "delay_s": 1.0},
     },
     "desk-100": {"duration": 10.0, "topology": {"nodes": 100, "degree": 6}},
+    "spam": {
+        "duration": 15.0,
+        "topology": {"kind": "regular", "nodes": 20, "degree": 4, "delay_s": 0.12},
+        "prism": {"m": 10, "rate_voter_per_chain": 0.3, "rate_tx": 160.0, "rate_prop": 0.2},
+        "workload": {"tps": 5.0},
+        "spam": {"enabled": True, "tps": 2.0, "jitter": {"kind": "uniform", "max_s": 5.0}},
+    },
+    "high-tps": {
+        "duration": 5.0,
+        "workload": {"tps": 2000.0},
+        "prism": {"rate_tx": 5.0, "tx_block_capacity": 2000},
+    },
 }
 GUARD_DIGESTS = [
     ("balancing", 0, "75a12345dd5b23d9e9c98d1ef8001f5d7c8de861a4d06228262e86dd12f93754"),
@@ -86,6 +104,10 @@ GUARD_DIGESTS = [
     ("slow-ring", 0, "aa62c8cf0850416ff4d32475a452c27c2ee66c14031755060afd3e87434e289d"),
     ("slow-ring", 1, "b7f50fad0c5e70d224ce8fda17707e56b917fc5907ce4a46db3cbfa697b6df1c"),
     ("desk-100", 0, "70efbb00091d3dac0fedaa39760c6f15b34a6ddba08ba144f6cb11b3fc880564"),
+    ("spam", 0, "af05aeeb6ac84065faa1665b0d3ca75de777199a695aab1ecfd11fc1a316024f"),
+    ("spam", 1, "800a8f538cc65c77dea821acb88d9fc6467d8811ea5051a117402d0396844ed2"),
+    ("high-tps", 0, "57a03900305499c006043966da1fd9ff1ae8ee6a16618126480d9658f9178171"),
+    ("high-tps", 1, "4316cb8982cc83cc43e3cddcc0947db7b199c8b46bc119dad2dbc9eda77547ad"),
 ]
 
 

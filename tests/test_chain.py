@@ -30,6 +30,8 @@ def test_double_spend_against_mempool_rejected():
     bench.state.receive_transaction(t1, 0.0, SCHEME)
     result = bench.state.receive_transaction(t2, 0.0, SCHEME)
     assert isinstance(result, TxRejected) and result.reason == "Conflict"
+    # a repeat of a pooled transaction conflicts on its own coins
+    assert bench.state.receive_transaction(t1, 0.0, SCHEME) == TxRejected("Conflict")
 
 
 def test_tx_conflicting_with_received_tx_block_rejected():
@@ -44,6 +46,9 @@ def test_tx_conflicting_with_received_tx_block_rejected():
     t2 = spend(coin, KEYS[2])
     result = bench.state.receive_transaction(t2, 1.0, SCHEME)
     assert isinstance(result, TxRejected) and result.reason == "Conflict"
+    # so does a repeat of the mined transaction
+    assert bench.state.receive_transaction(t1, 1.0, SCHEME) == TxRejected("Conflict")
+    bench.state.check_invariants()
 
 
 def test_bad_signature_rejected():
@@ -613,7 +618,13 @@ def _drift_choice(state):
 
 
 def _drop_mempool_input(state):
-    state.mempool_inputs.popitem()
+    pooled = [coin for coin, digest in state.spent_coins.items() if digest is not None]
+    del state.spent_coins[pooled[0]]
+
+
+def _forget_mined_coin(state):
+    mined = [coin for coin, digest in state.spent_coins.items() if digest is None]
+    del state.spent_coins[mined[0]]
 
 
 def _stale_vote_list(state):
@@ -638,7 +649,8 @@ def _proposer_in_a_voter_tree(state):
     [
         (_drop_tally, "votes_by_level"),
         (_drift_choice, "vote_choices"),
-        (_drop_mempool_input, "mempool_inputs"),
+        (_drop_mempool_input, "spent_coins"),
+        (_forget_mined_coin, "spent_coins"),
         (_stale_vote_list, "honest vote list"),
         (_drift_chainlen, "chain lengths of chain 0"),
         (_drift_level, "prp_levels"),
@@ -647,7 +659,10 @@ def _proposer_in_a_voter_tree(state):
 )
 def test_check_invariants_reports_a_drifted_index(drift, index):
     bench = Bench(m=3)
-    bench.state.receive_transaction(spend(next(iter(genesis_set(1).values())), KEYS[1]), 0.0, SCHEME)
+    mined, pooled = genesis_set(2).values()
+    bench.state.receive_transaction(spend(mined, KEYS[1]), 0.0, SCHEME)
+    bench.mine("transaction")
+    bench.state.receive_transaction(spend(pooled, KEYS[1]), 0.0, SCHEME)
     bench.mine("proposer")
     bench.mine("voter", chain_index=0)
     bench.state.check_invariants()

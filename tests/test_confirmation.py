@@ -611,7 +611,6 @@ def two_way_level_state(tx_factory):
         for depth in range(30):
             ctx = MinerContext(
                 miner_id=3,
-                hash_power=1.0,
                 prp_parent=left.digest,
                 prp_parent_level=1,
                 vt_parent=[

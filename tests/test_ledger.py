@@ -60,7 +60,7 @@ def reference_sanitize(txs, utxo_set):
     state = dict(utxo_set)
     applied = []
     for tx in txs:
-        coins = [state.get(i.id) for i in tx.inputs]
+        coins = [state.get(i) for i in tx.inputs]
         if any(c is None for c in coins):
             continue
         if len(tx.signatures) != len(tx.inputs):
@@ -193,7 +193,7 @@ def test_no_coin_spent_twice_in_applied_ledger():
     utxo_set = genesis_set(100)
     txs = random_workload(rng, 500, utxo_set)
     ledger, _ = sanitize(txs, dict(utxo_set), SCHEME)
-    spent = [i.id for tx in ledger for i in tx.inputs]
+    spent = [i for tx in ledger for i in tx.inputs]
     assert len(spent) == len(set(spent))
 
 
@@ -299,7 +299,7 @@ def test_conservation_zero_fee_and_with_fee():
     working = dict(utxo_set)
     fees = []
     for tx in (t1, t2):
-        fees.append(sum(working[i.id].value for i in tx.inputs) - sum(o.value for o in tx.outputs))
+        fees.append(sum(working[i].value for i in tx.inputs) - sum(o.value for o in tx.outputs))
         assert execute(tx, working, SCHEME) is APPLIED
     assert conservation_check(before, working, fees)
     assert total_value(working) == before - 5

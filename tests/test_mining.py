@@ -20,7 +20,7 @@ def test_fresh_genesis_superblock_contents():
     for i, coin in enumerate(coins):
         bench.state.receive_transaction(spend(coin, KEYS[i + 1]), 0.0, SCHEME)
     ctx = bench.context()
-    parents, contents, parent_root, content_root = assemble_superblock(ctx, bench.params)
+    parents, contents, parent_root, content_root = assemble_superblock(ctx)
     assert len(parents) == bench.params.m + 2
     assert len(contents) == bench.params.m + 2
     assert parent_root == merkle_root(parents)
@@ -36,7 +36,7 @@ def test_tx_parent_equals_proposer_parent():
     bench = Bench()
     bench.mine("proposer")
     ctx = bench.context()
-    parents, _, _, _ = assemble_superblock(ctx, bench.params)
+    parents, _, _, _ = assemble_superblock(ctx)
     m = bench.params.m
     assert parents[m] == ctx.prp_parent  # transaction slot
     assert parents[m + 1] == ctx.prp_parent
@@ -165,17 +165,17 @@ def test_superblock_serializes_only_replaced_vote_lists(monkeypatch):
     bench.mine("proposer")
     last = LastSuperblock()
     ctx = bench.context()
-    assemble_superblock(ctx, bench.params, last)
+    assemble_superblock(ctx, last)
     serialized = []
     real = mining.serialize_content
     monkeypatch.setattr(mining, "serialize_content", lambda c: serialized.append(c) or real(c))
     ctx.replace_votes(2, list(ctx.votes[2]))  # same votes, new object
     ctx.replace_votes(3, [])
-    _, contents, _, content_root = assemble_superblock(ctx, bench.params, last)
+    _, contents, _, content_root = assemble_superblock(ctx, last)
     assert [type(c).__name__ for c in serialized] == [
         "VoterContent", "VoterContent", "TransactionContent", "ProposerContent"
     ]
-    _, fresh, _, fresh_root = assemble_superblock(ctx, bench.params)
+    _, fresh, _, fresh_root = assemble_superblock(ctx)
     assert contents == fresh and content_root == fresh_root
 
 
@@ -193,18 +193,18 @@ def test_blocks_mined_with_a_kept_superblock_validate():
             ctx.replace_votes(chain, ctx.votes[chain][:kept])
         block = finish_mining(ctx, bench.params, float(rng.random()), int(rng.integers(2**62)), last)
         validate_block(block, bench.params, SCHEME)
-        _, _, parent_root, content_root = assemble_superblock(ctx, bench.params)
+        _, _, parent_root, content_root = assemble_superblock(ctx)
         assert (block.header.parent_root, block.header.content_root) == (parent_root, content_root)
         if rng.random() < 0.7:
             bench.state.receive_block(block)
 
 
-def _check_kept_assembly(ctx, params, last):
+def _check_kept_assembly(ctx, last):
     """Assemble ``ctx`` into the kept ``last`` and require the leaves,
     every tree level, both roots and every proof of a fresh assembly."""
-    parents, contents, parent_root, content_root = assemble_superblock(ctx, params, last)
+    parents, contents, parent_root, content_root = assemble_superblock(ctx, last)
     fresh = LastSuperblock()
-    assert (parents, contents, parent_root, content_root) == assemble_superblock(ctx, params, fresh)
+    assert (parents, contents, parent_root, content_root) == assemble_superblock(ctx, fresh)
     assert last.parents.levels == fresh.parents.levels
     assert last.contents.levels == fresh.contents.levels
     for i in range(len(parents)):
@@ -258,14 +258,14 @@ def _drive(rule, steps):
         elif op == 6:
             held = main.context()
         elif op == 7 and pick % 2:
-            _check_kept_assembly(held, main.params, last)
+            _check_kept_assembly(held, last)
         elif op >= 7:
             ctx = (benches[1 + pick % 2] if op == 9 else main).context()
             if op == 8:
                 ctx.replace_votes(chain, ctx.votes[chain][: pick % (len(ctx.votes[chain]) + 1)])
                 if mined:
                     ctx.replace_parent((chain + 1) % m, mined[pick % len(mined)].digest)
-            _check_kept_assembly(ctx, main.params, last)
+            _check_kept_assembly(ctx, last)
         state.check_invariants()
     return reorgs, flips
 
@@ -315,12 +315,12 @@ def test_kept_assembly_hashes_no_more_than_a_leaf_compare(monkeypatch, adversary
     real_assemble = mining.assemble_superblock
     assemblies = []
 
-    def checked(ctx, params, last):
+    def checked(ctx, last):
         old = [], []  # a miner's first assembly builds every node
         if last.parents is not None:
             old = list(last.parents.leaves), list(last.contents.leaves)
         before = hashed[0]
-        parents, contents, _, _ = real_assemble(ctx, params, last)
+        parents, contents, _, _ = real_assemble(ctx, last)
         required = _path_hashes(old[0], parents) + _path_hashes(old[1], contents)
         assert hashed[0] - before <= required
         assemblies.append(required)
