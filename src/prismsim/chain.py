@@ -78,20 +78,20 @@ class VoterTree:
         # vote per level walking genesis -> tip
         self.main_votes: dict[int, tuple[bytes, int]] = {}
 
-    def has(self, digest: bytes) -> bool:
-        return digest == self.genesis or digest in self.chainlens
-
     def chainlen(self, digest: bytes) -> int:
         return 0 if digest == self.genesis else self.chainlens[digest]
 
-    def insert(self, block: Block) -> tuple[bool, list[tuple[int, bytes]], list[tuple[int, bytes]]]:
-        """Insert a stored voter block whose parent is in this tree.
+    def insert(self, block: Block) -> tuple[bool, list[tuple[int, bytes]], list[tuple[int, bytes]]] | None:
+        """Insert a voter block; None, and nothing inserted, if its parent
+        is not in this tree.  The node stores the block once it is in.
 
         Returns (tip_changed, removed_votes, added_votes) where votes are
         (level, proposer digest) pairs entering/leaving the main chain.
         """
         parent = block.parent_leaf
-        chainlen = self.chainlen(parent) + 1
+        chainlen = _height_above(parent, self.genesis, self.chainlens)
+        if chainlen is None:
+            return None
         self.chainlens[block.digest] = chainlen
         if chainlen <= self.tip_chainlen:
             return False, [], []  # shorter or tie: first arrival keeps the tip
@@ -104,7 +104,7 @@ class VoterTree:
                     added.append((level, digest))
         else:
             old, self.main_votes = self.main_votes, {}
-            for clen, chain_block in enumerate(self.walk_from_genesis(block.digest), 1):
+            for clen, chain_block in enumerate([*self.walk_from_genesis(parent), block], 1):
                 for level, digest in chain_block.content.votes:
                     if level not in self.main_votes:
                         self.main_votes[level] = (digest, clen)
@@ -254,7 +254,12 @@ class ChainState:
     def seen(self, block: Block) -> bool:
         """Stored, genesis, buffered as an orphan, or rejected."""
         digest = block.digest
-        return self.has_block(digest) or digest in self.orphan_digests or digest in self.rejected
+        return (
+            digest in self.blocks
+            or digest in self.genesis_digests
+            or digest in self.orphan_digests
+            or digest in self.rejected
+        )
 
     def receive_block(self, block: Block) -> list[str]:
         """Apply a validated block; returns the state changes it caused.
@@ -281,7 +286,8 @@ class ChainState:
             insert = self._insert_voter if block.block_type.kind == VOTER else self._insert_proposer
             changes = insert(block)
         # a refused block has already taken its buffered descendants with it
-        changes.extend(self._resolve_orphans(block.digest))
+        if block.digest in self.orphans:
+            changes.extend(self._resolve_orphans(block.digest))
         return changes
 
     def _buffer_orphan(self, block: Block, missing: bytes) -> list[str]:
@@ -337,10 +343,11 @@ class ChainState:
     def _insert_voter(self, block: Block) -> list[str]:
         index = block.block_type.chain_index
         tree = self.voter_trees[index]
-        if not tree.has(block.parent_leaf):
+        inserted = tree.insert(block)
+        if inserted is None:
             return self._reject(block)  # rejected, or of another chain or kind
-        self.blocks[block.digest] = block  # a reorg walk reads it from the store
-        tip_changed, removed, added = tree.insert(block)
+        self.blocks[block.digest] = block
+        tip_changed, removed, added = inserted
         self.voter_blocks_stored += 1
         changes = [f"voter_stored:{index}"]
         if tip_changed:

@@ -75,6 +75,8 @@ class Transaction:
         if not outputs:
             raise ValueError("transaction needs at least one output")
         self.inputs = tuple(inputs)
+        if len(set(self.inputs)) != len(self.inputs):
+            raise ValueError("transaction spends an input twice")
         self.outputs = tuple(outputs)
         self.signatures = tuple(signatures)
         self.digest = sha256(self._serialize_body())

@@ -21,6 +21,7 @@ sections.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import random
 import time
@@ -64,6 +65,12 @@ SPAM = 5
 TX_RELAY = 6  # longest chain: a gossiped pending transaction
 
 FETCH_REQUEST_BYTES = 100
+
+# the cyclic collector's thresholds while a run's loop is on: the heap
+# only grows (blocks, tree heights, Merkle levels) and little of it is
+# cyclic garbage, so passes at the default thresholds mostly rescan
+# live objects
+RUN_GC_THRESHOLDS = (50_000, 20, 100)
 
 # the payment workload: genesis coins of one value dealt round-robin to
 # a fixed set of wallets, each payment one coin to a random wallet
@@ -235,8 +242,8 @@ class EventCore:
     with ``on_block``, ``on_mining_complete`` and ``on_transaction``)
     and ``held_blocks`` (each node's digest-keyed block store), keeps
     ``latency_samples`` and provides ``_checkpoint``,
-    ``_handle_event`` for its own event kinds, ``_wire_size`` and
-    ``_protocol_report``.
+    ``_handle_event`` for its own event kinds, ``_protocol_report`` and
+    either ``_wire_size`` or its own ``broadcast``.
     """
 
     protocol = ""
@@ -381,7 +388,20 @@ class EventCore:
             self.push(when, MINE, node.id)
 
     def run(self) -> "RunResult":
+        """Run the loop to the end; the collector's thresholds are raised
+        for the run and the caller's restored after it, also on error."""
         started = time.perf_counter()
+        thresholds = gc.get_threshold()
+        gc.set_threshold(*RUN_GC_THRESHOLDS)
+        try:
+            self._loop()
+            self.now = self.duration
+            self._checkpoint(self.duration)
+            return RunResult(report=self._report(started), sim=self)
+        finally:
+            gc.set_threshold(*thresholds)
+
+    def _loop(self) -> None:
         for node in self.nodes:
             self._schedule_mining(node, 0.0)
         self._schedule_workload()
@@ -410,9 +430,6 @@ class EventCore:
                 self._handle_checkpoint(when)
             else:
                 self._handle_event(kind, payload, when)
-        self.now = self.duration
-        self._checkpoint(self.duration)
-        return RunResult(report=self._report(started), sim=self)
 
     def _handle_checkpoint(self, now: float) -> None:
         self._checkpoint(now)
@@ -502,20 +519,23 @@ class Node(Peer):
     # --- receipt -----------------------------------------------------------------
 
     def on_block(self, block: Block, from_peer: int, now: float) -> None:
-        if self.state.seen(block):
+        state, sim = self.state, self.sim
+        if state.seen(block):
             return
-        if not self.sim.is_valid(block):
-            self.sim.invalid_blocks += 1
+        if not sim.verdict(block)[0]:
+            sim.invalid_blocks += 1
             return
-        changes = self.state.receive_block(block)
+        changes = state.receive_block(block)
         # a rejected block is counted once here and then known as a duplicate
-        self.sim.invalid_blocks += sum(1 for c in changes if c.startswith("rejected:"))
-        if changes[0].startswith("rejected:"):
-            return
+        rejected = changes.count("rejected:bad_parent")
+        if rejected:
+            sim.invalid_blocks += rejected
+            if changes[0] == "rejected:bad_parent":
+                return
         # gossip: forward on first receipt, even while parents are missing
-        self.sim.broadcast(self.id, block, now, exclude=from_peer)
+        sim.broadcast(self.id, block, now, exclude=from_peer)
         if changes[0] == "orphaned":
-            self.sim.push_fetch(self.id, from_peer, block.parent_ref, now)
+            sim.push_fetch(self.id, from_peer, block.parent_ref, now)
         if self.strategy is not None:
             self.publish(self.strategy.handle_block(block, now), now)
 
@@ -570,8 +590,9 @@ class Simulation(EventCore):
 
         self.block_counts = {TRANSACTION: 0, PROPOSER: 0, VOTER: 0}
         self.blocks_by_digest: dict[bytes, Block] = {}
-        # validation verdict per Block object; a forged body can reuse a digest
-        self._verdicts: dict[Block, bool] = {}
+        # (validation verdict, wire size) per Block object; a forged body
+        # can reuse a digest
+        self._verdicts: dict[Block, tuple[bool, int]] = {}
         self.invalid_blocks = 0
         self.spam_tx_digests: set[bytes] = set()
         self.spam_sets = 0
@@ -596,14 +617,12 @@ class Simulation(EventCore):
 
     # --- events -------------------------------------------------------------------
 
-    def _wire_size(self, block: Block) -> int:
-        return block_wire_size(block, self.cfg["sizes"])
-
     def broadcast(self, sender: int, block: Block, now: float, exclude: int | None) -> None:
         # a copy of an invalid block in flight does not make a later copy a
         # duplicate: each receipt of it is counted, and the block is not stored
-        self.send(sender, self.neighbors[sender], ARRIVE, block, self._wire_size(block), now,
-                  self.held_blocks, exclude, track=self.is_valid(block))
+        valid, size = self.verdict(block)
+        self.send(sender, self.neighbors[sender], ARRIVE, block, size, now,
+                  self.held_blocks, exclude, track=valid)
 
     def push_fetch(self, requester: int, peer: int, digest: bytes, now: float) -> None:
         arrival = self._link_arrival(requester, peer, FETCH_REQUEST_BYTES, now)
@@ -616,24 +635,26 @@ class Simulation(EventCore):
             peer, requester, digest = payload
             found = self.nodes[peer].state.get_block(digest)
             if found is not None:
-                self.send(peer, (requester,), ARRIVE, found, self._wire_size(found), now,
-                          self.held_blocks, track=self.is_valid(found))
+                valid, size = self.verdict(found)
+                self.send(peer, (requester,), ARRIVE, found, size, now,
+                          self.held_blocks, track=valid)
 
-    def is_valid(self, block: Block) -> bool:
-        """Whether ``block`` passes ``validate_block``, checked once per object.
+    def verdict(self, block: Block) -> tuple[bool, int]:
+        """Whether ``block`` passes ``validate_block``, and its wire size:
+        both computed once per object, when it is first sent or received.
 
-        The verdict depends only on the block and the run's fixed
-        parameters and signature scheme, so every node can share it.
+        Both depend only on the block and the run's fixed parameters,
+        sizes and signature scheme, so every node can share them.
         """
-        verdict = self._verdicts.get(block)
-        if verdict is None:
+        entry = self._verdicts.get(block)
+        if entry is None:
             try:
                 validate_block(block, self.params, self.scheme)
-                verdict = True
+                valid = True
             except ValidationError:
-                verdict = False
-            self._verdicts[block] = verdict
-        return verdict
+                valid = False
+            entry = self._verdicts[block] = (valid, block_wire_size(block, self.cfg["sizes"]))
+        return entry
 
     def record_mined(self, block: Block, now: float, miner: int) -> None:
         self.mine_times[block.digest] = now

@@ -343,6 +343,18 @@ def test_transaction_needs_inputs_and_outputs():
         Transaction([TxInput(bytes(32), 0)], [])
 
 
+def test_transaction_refuses_a_repeated_input():
+    # one coin listed twice would count its value twice in the overspend
+    # check, and the second spend would find the coin already gone
+    utxo_set = genesis_set(1)
+    (coin,) = utxo_set.values()
+    owner = next(k for k in KEYS if k.public == coin.owner)
+    with pytest.raises(ValueError, match="twice"):
+        signed_transaction(
+            SCHEME, [TxInput(*coin.id)] * 2, [TxOutput(2 * coin.value, KEYS[1].public)], [owner] * 2
+        )
+
+
 # --- one signature verdict per transaction object ------------------------------
 
 

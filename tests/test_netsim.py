@@ -1,4 +1,5 @@
 import copy
+import gc
 import heapq
 import json
 import os
@@ -15,13 +16,15 @@ from test_acceptance import BALANCING_CFG, SAFETY_CFG
 
 import prismsim
 from prismsim.adversary import install_strategies
-from prismsim.baseline import LCBlock, LongestChainSimulation
+from prismsim.baseline import LCBlock, LCNode, LongestChainSimulation
 from prismsim.config import ConfigError, resolve
 from prismsim.netsim import (
     ARRIVE,
     FETCH,
     MINE,
+    RUN_GC_THRESHOLDS,
     WALLETS,
+    Node,
     Simulation,
     Topology,
     build_topology,
@@ -424,13 +427,28 @@ def test_invalid_block_validated_once_and_counted_per_receipt(monkeypatch):
     assert len({id(b) for b in validated}) == len(validated) > report.blocks["total"] // 2
 
 
+def test_each_block_object_validated_and_sized_once(monkeypatch):
+    import prismsim.netsim as netsim
+
+    validated, sized = [], []
+    validate, size = netsim.validate_block, netsim.block_wire_size
+    monkeypatch.setattr(netsim, "validate_block", lambda block, *a: validated.append(block) or validate(block, *a))
+    monkeypatch.setattr(netsim, "block_wire_size", lambda block, *a: sized.append(block) or size(block, *a))
+    report = Simulation(small_cfg(duration=10.0), seed=0).run().report
+    assert report.blocks["total"] > 0
+    for calls in (validated, sized):
+        # every mined block is sent, so each is validated and sized; once
+        assert len(calls) >= report.blocks["total"]
+        assert len({id(block) for block in calls}) == len(calls)
+
+
 def test_verdict_is_kept_per_object_not_per_digest():
     sim = Simulation(small_cfg(duration=1.0), seed=0)
     good = Bench(m=10, seed=2).mine("voter", chain_index=3, deliver=False)
     forged = copy.copy(good)
     forged.content = type(good.content)(((7, b"\x01" * 32),))  # same header, other body
     assert forged.digest == good.digest
-    assert sim.is_valid(good) and not sim.is_valid(forged) and sim.is_valid(good)
+    assert sim.verdict(good)[0] and not sim.verdict(forged)[0] and sim.verdict(good)[0]
 
 
 def test_forged_level_proposer_stored_and_forwarded_once_per_node():
@@ -476,6 +494,37 @@ def test_both_protocols_report_runtime():
         wallclock = run(resolve(overlay), seed=0).report.wallclock
         assert wallclock["runtime_s"] > 0
         assert wallclock["finished_unix"] > 0
+
+
+CALLERS_GC = (1234, 7, 9)
+
+
+@pytest.mark.parametrize("protocol", ["prism", "longest_chain"])
+def test_collector_settings_survive_a_run(protocol, monkeypatch):
+    if protocol == "prism":
+        cls, node_cls, overlay = Simulation, Node, PRISM_SMALL
+    else:
+        cls, node_cls, overlay = LongestChainSimulation, LCNode, LC_SMALL
+    cfg = resolve({**overlay, "duration": 5.0})
+    kept = gc.get_threshold()
+    try:
+        gc.set_threshold(*CALLERS_GC)
+        cls(cfg, 0).run()
+        assert gc.get_threshold() == CALLERS_GC
+
+        seen_in_loop = []
+
+        def failing(self, now):
+            seen_in_loop.append(gc.get_threshold())
+            raise RuntimeError("mining failed")
+
+        monkeypatch.setattr(node_cls, "on_mining_complete", failing)
+        with pytest.raises(RuntimeError, match="mining failed"):
+            cls(cfg, 0).run()
+        assert seen_in_loop == [RUN_GC_THRESHOLDS]
+        assert gc.get_threshold() == CALLERS_GC
+    finally:
+        gc.set_threshold(*kept)
 
 
 # prints one digest per config: deterministic report, confirmation trace,
