@@ -58,6 +58,17 @@ def _height_above(parent: bytes, genesis: bytes, heights: dict[bytes, int]) -> i
     return heights[parent] + 1 if parent in heights else None
 
 
+class Genesis:
+    """The genesis digests of an m-chain structure: the proposer genesis,
+    one voter genesis per chain, and all m + 1 as a set.  They never
+    change, so one instance serves every node of a run."""
+
+    def __init__(self, m: int):
+        self.proposer = genesis_proposer_digest()
+        self.voters = tuple(genesis_voter_digest(i) for i in range(m))
+        self.digests = frozenset((self.proposer, *self.voters))
+
+
 @dataclass
 class MempoolTx:
     tx: Transaction
@@ -68,8 +79,8 @@ class VoterTree:
     """One voter blocktree: each block's chain length, the longest-chain
     tip and main-chain votes.  Walks parents through the node's store."""
 
-    def __init__(self, index: int, blocks: dict[bytes, Block]):
-        self.genesis = genesis_voter_digest(index)
+    def __init__(self, genesis: bytes, blocks: dict[bytes, Block]):
+        self.genesis = genesis
         self.blocks = blocks
         self.chainlens: dict[bytes, int] = {}
         self.tip: bytes = self.genesis
@@ -154,18 +165,21 @@ TX_ACCEPTED = Accepted()
 class ChainState:
     """One node's view of the whole Prism block structure."""
 
-    def __init__(self, m: int, vote_rule: str = FIRST_SEEN):
+    def __init__(self, m: int, vote_rule: str = FIRST_SEEN, genesis: Genesis | None = None):
+        """``genesis`` is the run's shared ``Genesis(m)``; without one the
+        state computes its own."""
         if vote_rule not in (FIRST_SEEN, MOST_VOTED):
             raise ValueError(f"unknown vote rule {vote_rule!r}")
+        genesis = genesis or Genesis(m)
+        if len(genesis.voters) != m:
+            raise ValueError(f"genesis of {len(genesis.voters)} voter chains for m = {m}")
         self.m = m
         self.vote_rule = vote_rule
-        self.proposer_genesis = genesis_proposer_digest()
+        self.proposer_genesis = genesis.proposer
         # every stored block of every kind, by digest; the trees keep heights only
         self.blocks: dict[bytes, Block] = {}
-        self.voter_trees = [VoterTree(i, self.blocks) for i in range(m)]
-        self.genesis_digests = frozenset(
-            [self.proposer_genesis] + [t.genesis for t in self.voter_trees]
-        )
+        self.voter_trees = [VoterTree(digest, self.blocks) for digest in genesis.voters]
+        self.genesis_digests = genesis.digests
 
         self.prp_levels: dict[bytes, int] = {}
         self.prp_by_level: dict[int, list[bytes]] = {}
@@ -188,9 +202,10 @@ class ChainState:
         # the honest miner's vote list per chain: (level, vote choice) for
         # every level its main chain has not voted, in level order.  A list
         # is replaced, never edited, so an unchanged list keeps its identity
-        # between blocks; callers must not edit one
+        # between blocks; callers must not edit one.  Chains rewritten
+        # together from equal lists share one new list
         self.vote_lists: list[list[tuple[int, bytes]]] = [[] for _ in range(m)]
-        self.voter_tips: list[bytes] = [t.genesis for t in self.voter_trees]
+        self.voter_tips: list[bytes] = list(genesis.voters)
         # voter slots by their last change of tip or vote list, oldest
         # first, each with the epoch of that change.  Never drained: every
         # reader remembers the epoch it has seen (``slots_changed_since``)
@@ -262,11 +277,20 @@ class ChainState:
         )
 
     def receive_block(self, block: Block) -> list[str]:
-        """Apply a validated block; returns the state changes it caused.
+        """Apply a validated block; returns the state changes it caused,
+        ``["duplicate"]`` for a block already ``seen``.  See
+        ``receive_new_block`` for the other tags."""
+        if self.seen(block):
+            return ["duplicate"]
+        return self.receive_new_block(block)
+
+    def receive_new_block(self, block: Block) -> list[str]:
+        """Apply a validated block the caller found not ``seen``; returns
+        the state changes it caused.
 
         Change tags: ``tx_block``, ``voter_stored:i``, ``voter_tip:i``,
         ``proposer_stored``, ``new_proposer_level:L``, ``prp_parent:L``,
-        ``duplicate``, ``orphaned``, ``rejected:bad_parent``.  A block
+        ``orphaned``, ``rejected:bad_parent``.  A block
         whose parent is missing is buffered until the parent arrives, and
         ``orphaned`` is its only tag.  A block whose parent is rejected or
         of another chain or kind is rejected with every block buffered
@@ -275,8 +299,6 @@ class ChainState:
         repeat is a duplicate.  A proposer block's level is its stored
         parent's plus one; the level the block claims is not read.
         """
-        if self.seen(block):
-            return ["duplicate"]
         if block.block_type.kind == TRANSACTION:
             changes = self._receive_tx_block(block)
         else:
@@ -407,10 +429,7 @@ class ChainState:
             # its parent is stored one level down, so the new level is the
             # new top: every list that owes it gains it as its last vote
             vote = [(level, block.digest)]
-            owing = [i for i, t in enumerate(self.voter_trees) if level not in t.main_votes]
-            for i in owing:
-                self.vote_lists[i] = self.vote_lists[i] + vote
-            self._slots_changed(owing)
+            self._rewrite_owing(level, lambda votes: votes + vote)
         elif self.vote_rule == MOST_VOTED:
             self._recheck_choice(level)
         if level > self.prp_parent_level:
@@ -426,11 +445,24 @@ class ChainState:
         choice = self.vote_choice(level)
         if choice != self.vote_choices.get(level):
             self.vote_choices[level] = choice
-            owing = [i for i, t in enumerate(self.voter_trees) if level not in t.main_votes]
-            lists = self.vote_lists
-            for i in owing:
-                lists[i] = [(lvl, choice if lvl == level else d) for lvl, d in lists[i]]
-            self._slots_changed(owing)
+            self._rewrite_owing(
+                level, lambda votes: [(lvl, choice if lvl == level else d) for lvl, d in votes]
+            )
+
+    def _rewrite_owing(self, level: int, rewrite) -> None:
+        """Give every chain whose main chain has not voted ``level`` the
+        list ``rewrite(its list)``.  Chains that held equal lists share one
+        new list, so a superblock serializes it once."""
+        owing = [i for i, t in enumerate(self.voter_trees) if level not in t.main_votes]
+        lists = self.vote_lists
+        rewritten: dict[tuple, list[tuple[int, bytes]]] = {}
+        for i in owing:
+            key = tuple(lists[i])
+            new = rewritten.get(key)
+            if new is None:
+                new = rewritten[key] = rewrite(lists[i])
+            lists[i] = new
+        self._slots_changed(owing)
 
     def _slots_changed(self, indexes) -> None:
         """Move ``indexes`` to the end of the slot-change log under one

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 from .blocks import PROPOSER, TRANSACTION
 from .chain import ChainState
 from .crypto import SignatureScheme
-from .ledger import CoinId, Transaction, Utxo, execute_with_fee
+from .ledger import CoinId, Transaction, Utxo, execute_with_fee, total_value
 
 
 class ConfirmationError(Exception):
@@ -380,6 +380,7 @@ class ConfirmationEngine:
         self.epsilon = epsilon
         self.scheme = scheme
         self.utxo = dict(initial_utxo)
+        self.genesis_total = total_value(initial_utxo)
         self.mine_time_of = mine_time_of or (lambda digest: 0.0)
 
         self.leaders: list[bytes] = []
@@ -404,6 +405,16 @@ class ConfirmationEngine:
                 self.latency_samples.append(
                     LatencySample(tx.digest, self.mine_time_of(block_digest), now)
                 )
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the confirmed ledger conserves
+        value: its UTXO total plus the fees it collected equals the
+        genesis total.  A pass over the UTXO set: for tests, not runs."""
+        total, fees = total_value(self.utxo), sum(self.fees)
+        if total + fees != self.genesis_total:
+            raise AssertionError(
+                f"value: UTXO total {total} plus fees {fees}, genesis total {self.genesis_total}"
+            )
 
     def evaluate(self, now: float) -> None:
         """One confirmation pass: extend the confirmed prefix as far as the

@@ -33,7 +33,7 @@ class MerkleTree:
         if not leaves:
             raise ValueError("merkle tree requires at least one leaf")
         self.leaves = list(leaves)
-        hashes = list(map(sha256, self.leaves))
+        hashes = _hash_each(self.leaves)
         self.levels = [hashes]  # leaf hashes first, root last
         while len(hashes) > 1:
             hashes = _pair_up(hashes)
@@ -43,17 +43,36 @@ class MerkleTree:
     def root(self) -> bytes:
         return self.levels[-1][0]
 
+    def copy(self) -> MerkleTree:
+        """The same tree over new leaf and level lists.  The hashes are
+        immutable and shared; updating either tree leaves the other as
+        it is."""
+        tree = MerkleTree.__new__(MerkleTree)
+        tree.leaves = list(self.leaves)
+        tree.levels = [list(level) for level in self.levels]
+        return tree
+
     def update(self, dirty: Collection[int]) -> bytes:
         """Rehash the leaves at the distinct indexes ``dirty``, rewritten
-        in ``leaves`` since the last commit, and return the new root."""
+        in ``leaves`` since the last commit, and return the new root.
+
+        Each distinct dirty leaf is hashed once, and a level of two or
+        more nodes, all dirty, is rebuilt by ``_pair_up``.  A level with
+        some nodes dirty hashes each of them: its pairs rarely repeat,
+        and a memo there cost more than it saved."""
         leaves, hashes = self.leaves, self.levels[0]
+        hashed: dict[bytes, bytes] = {}  # leaf bytes -> hash, for this call
         for i in dirty:
-            hashes[i] = sha256(leaves[i])
+            leaf = leaves[i]
+            digest = hashed.get(leaf)
+            if digest is None:
+                digest = hashed[leaf] = sha256(leaf)
+            hashes[i] = digest
         for below, level in zip(self.levels, self.levels[1:]):
             dirty = {i // 2 for i in dirty}
             if not dirty:
                 break
-            if len(dirty) == len(level):
+            if len(dirty) == len(level) > 1:
                 level[:] = _pair_up(below)
                 continue
             last = len(below) - 1
@@ -74,12 +93,27 @@ class MerkleTree:
         return MerkleProof(leaf_index=index, siblings=tuple(siblings))
 
 
+def _hash_each(inputs: list[bytes]) -> list[bytes]:
+    """The hash of each input, hashing each distinct input once.
+
+    Superblock leaves repeat: voter slots that owe the same votes hold
+    equal bytes, and equal nodes pair into equal parents.  The memo
+    lives for one call.
+    """
+    digests = dict.fromkeys(inputs)
+    if len(digests) == len(inputs):
+        return list(map(sha256, inputs))
+    for data in digests:
+        digests[data] = sha256(data)
+    return list(map(digests.__getitem__, inputs))
+
+
 def _pair_up(below: list[bytes]) -> list[bytes]:
     """The whole level above ``below``."""
-    above = [sha256(left + right) for left, right in zip(below[::2], below[1::2])]
+    pairs = [left + right for left, right in zip(below[::2], below[1::2])]
     if len(below) % 2:
-        above.append(sha256(below[-1] + below[-1]))
-    return above
+        pairs.append(below[-1] + below[-1])
+    return _hash_each(pairs)
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:

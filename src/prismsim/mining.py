@@ -10,7 +10,7 @@ selected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .blocks import (
     serialize_content,
     sortition,
 )
-from .chain import ChainState
+from .chain import ChainState, Genesis
 from .ledger import Transaction
 from .merkle import MerkleTree
 from .serialize import u32, u64
@@ -104,6 +104,27 @@ def schedule_mining(
     return now + rng.exponential(1.0 / rate)
 
 
+# the (parents, contents) Merkle trees of the superblock over genesis alone
+GenesisSuperblock = tuple[MerkleTree, MerkleTree]
+
+
+def genesis_superblock(genesis: Genesis) -> GenesisSuperblock:
+    """The superblock of a state that holds only genesis: each voter slot
+    on its chain's genesis with no votes, the transaction and proposer
+    slots on the proposer genesis with empty content.
+
+    Every miner's first superblock starts from a copy of it.  Its trees
+    are never updated, so one serves a whole run.
+    """
+    m = len(genesis.voters)
+    parents = [*genesis.voters, genesis.proposer, genesis.proposer]
+    contents = [serialize_content(VoterContent(()))] * m + [
+        serialize_content(TransactionContent(())),
+        serialize_content(ProposerContent((), ())),
+    ]
+    return MerkleTree(parents), MerkleTree(contents)
+
+
 class LastSuperblock:
     """One miner's last superblock: its (parents, contents) Merkle trees
     (None before its first block), the vote list object behind each voter
@@ -111,10 +132,14 @@ class LastSuperblock:
 
     The next context from the same source state rewrites only the voter
     slots that state reports changed since, and the slots either context
-    replaced.  Each tree then rehashes only the leaves whose bytes moved.
+    replaced.  Any other context starts from a copy of the genesis
+    superblock, which ``genesis`` returns (a run shares one; without it
+    each start builds its own).  Each tree then rehashes only the leaves
+    whose bytes moved.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, genesis: Callable[[], GenesisSuperblock] | None = None) -> None:
+        self.genesis = genesis
         self.parents: MerkleTree | None = None
         self.contents: MerkleTree | None = None
         self.votes: list[list[tuple[int, bytes]] | None] = []
@@ -144,23 +169,28 @@ def assemble_superblock(
     is the miner's previous superblock, which then holds this one; the
     leaf lists returned are its trees' own, valid until its next
     assembly.  A context from another source state, or of another width,
-    is written over an empty superblock, as it is without ``last``.
+    starts from the genesis superblock, as it does without ``last``: a
+    slot its source state has not changed since genesis holds the
+    genesis leaves, and a context without a source rewrites every slot.
     """
     last = last or LastSuperblock()
     m = len(ctx.votes)
     if ctx.source is not None and ctx.source is last.source and len(last.votes) == m:
         slots = set(ctx.source.slots_changed_since(min(ctx.epoch, last.epoch)))
-        slots.update(ctx.replaced, last.replaced)
-        dirty_parents, dirty_contents = _write_slots(
-            ctx, slots, last.parents.leaves, last.contents.leaves, last.votes
-        )
-        last.parents.update(dirty_parents)
-        last.contents.update(dirty_contents)
+        slots.update(last.replaced)
     else:
-        parents, contents = [b""] * (m + 2), [b""] * (m + 2)
+        parents, contents = last.genesis() if last.genesis else genesis_superblock(Genesis(m))
+        if len(parents.leaves) != m + 2:
+            raise ValueError(f"genesis superblock of {len(parents.leaves)} slots for m = {m}")
+        last.parents, last.contents = parents.copy(), contents.copy()
         last.votes = [None] * m
-        _write_slots(ctx, range(m), parents, contents, last.votes)
-        last.parents, last.contents = MerkleTree(parents), MerkleTree(contents)
+        slots = set(range(m) if ctx.source is None else ctx.source.slots_changed_since(0))
+    slots.update(ctx.replaced)
+    dirty_parents, dirty_contents = _write_slots(
+        ctx, slots, last.parents.leaves, last.contents.leaves, last.votes
+    )
+    last.parents.update(dirty_parents)
+    last.contents.update(dirty_contents)
     last.source = ctx.source
     last.epoch = ctx.epoch
     last.replaced = set(ctx.replaced)
@@ -179,13 +209,15 @@ def _write_slots(
     changed in each list.
 
     ``kept_lists`` holds the vote list behind each voter content leaf
-    (None where there is none yet).  A vote list one vote longer than the
-    one it follows extends that leaf's bytes instead of serializing the
-    list again.
+    (None where there is none yet).  Each distinct list object gets its
+    leaf bytes once per call, and every slot holding it shares them.  A
+    vote list one vote longer than the one it follows extends that leaf's
+    bytes instead of serializing the list again.
     """
     dirty_parents = []
     dirty_contents = []
     vt_parent, vote_lists = ctx.vt_parent, ctx.votes
+    leaf_of: dict[int, bytes] = {}  # id of a vote list in ``ctx`` -> its leaf
     for i in slots:
         if vt_parent[i] != parents[i]:
             parents[i] = vt_parent[i]
@@ -195,11 +227,14 @@ def _write_slots(
         if votes is old:
             continue
         kept_lists[i] = votes
-        if old is not None and len(votes) == len(old) + 1 and votes[:-1] == old:
-            level, digest = votes[-1]
-            leaf = u32(len(votes)) + contents[i][4:] + u64(level) + digest
-        else:
-            leaf = serialize_content(_content(ctx, i))
+        leaf = leaf_of.get(id(votes))
+        if leaf is None:
+            if old is not None and len(votes) == len(old) + 1 and votes[:-1] == old:
+                level, digest = votes[-1]
+                leaf = u32(len(votes)) + contents[i][4:] + u64(level) + digest
+            else:
+                leaf = serialize_content(_content(ctx, i))
+            leaf_of[id(votes)] = leaf
         if leaf != contents[i]:
             contents[i] = leaf
             dirty_contents.append(i)

@@ -39,7 +39,7 @@ from .blocks import (
     ValidationError,
     validate_block,
 )
-from .chain import ChainState
+from .chain import ChainState, Genesis
 from .config import adversarial_count, config_digest, genesis_coin_count
 from .confirmation import ConfirmationEngine
 from .crypto import get_scheme
@@ -50,9 +50,15 @@ from .ledger import (
     Utxo,
     conservation_check,
     signed_transaction,
-    total_value,
 )
-from .mining import LastSuperblock, finish_mining, honest_context, schedule_mining
+from .mining import (
+    GenesisSuperblock,
+    LastSuperblock,
+    finish_mining,
+    genesis_superblock,
+    honest_context,
+    schedule_mining,
+)
 from .metrics import MetricsReport, latency_stats
 
 # event kinds
@@ -483,10 +489,12 @@ class Node(Peer):
     def __init__(self, node_id: int, sim: "Simulation", hash_power: float, adversarial: bool):
         super().__init__(node_id, sim, hash_power)
         self.adversarial = adversarial
-        self.state = ChainState(sim.params.m, vote_rule=sim.cfg["prism"]["vote_rule"])
+        self.state = ChainState(
+            sim.params.m, vote_rule=sim.cfg["prism"]["vote_rule"], genesis=sim.genesis
+        )
         self.jitter_rng = np.random.default_rng([sim.seed, 3, node_id])
         self.strategy = None  # set by the adversary module when applicable
-        self.last_superblock = LastSuperblock()
+        self.last_superblock = LastSuperblock(sim.genesis_superblock)
 
     # --- mining ----------------------------------------------------------------
 
@@ -525,7 +533,7 @@ class Node(Peer):
         if not sim.verdict(block)[0]:
             sim.invalid_blocks += 1
             return
-        changes = state.receive_block(block)
+        changes = state.receive_new_block(block)
         # a rejected block is counted once here and then known as a duplicate
         rejected = changes.count("rejected:bad_parent")
         if rejected:
@@ -569,6 +577,9 @@ class Simulation(EventCore):
         )
         super().__init__(cfg, seed, self.params.total_rate)
         self.tx_capacity = prism["tx_block_capacity"]
+        # immutable, so every node's state and the genesis superblock share them
+        self.genesis = Genesis(self.params.m)
+        self._genesis_superblock: GenesisSuperblock | None = None
 
         honest_flags = self._assign_adversaries()
         powers = self._assign_powers(honest_flags)
@@ -638,6 +649,13 @@ class Simulation(EventCore):
                 valid, size = self.verdict(found)
                 self.send(peer, (requester,), ARRIVE, found, size, now,
                           self.held_blocks, track=valid)
+
+    def genesis_superblock(self) -> GenesisSuperblock:
+        """The run's one superblock over genesis, which every miner's
+        first assembly copies; built at first use, inside the run."""
+        if self._genesis_superblock is None:
+            self._genesis_superblock = genesis_superblock(self.genesis)
+        return self._genesis_superblock
 
     def verdict(self, block: Block) -> tuple[bool, int]:
         """Whether ``block`` passes ``validate_block``, and its wire size:
@@ -769,9 +787,7 @@ class Simulation(EventCore):
             },
             mempool_final=len(observer_state.mempool),
             invalid_blocks=self.invalid_blocks,
-            conservation_ok=conservation_check(
-                total_value(self.genesis_utxo), engine.utxo, engine.fees
-            ),
+            conservation_ok=conservation_check(engine.genesis_total, engine.utxo, engine.fees),
         )
 
 

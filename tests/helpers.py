@@ -35,14 +35,17 @@ def u_for(params: SortitionParams, kind: str, chain_index: int = 0) -> float:
 
 class Bench:
     """One node's state plus a deterministic miner driving it; like a
-    simulated node, the miner keeps its last superblock between blocks."""
+    simulated node, the miner keeps its last superblock between blocks.
+    Benches given one ``(Genesis, genesis superblock)`` pair share it, as
+    the nodes of a run do."""
 
-    def __init__(self, m=4, f_v=1.0, f_t=1.0, f_p=1.0, vote_rule="first_seen", seed=0):
+    def __init__(self, m=4, f_v=1.0, f_t=1.0, f_p=1.0, vote_rule="first_seen", seed=0, shared=None):
         self.params = make_params(m, f_v, f_t, f_p)
-        self.state = ChainState(m, vote_rule=vote_rule)
+        genesis, superblock = shared or (None, None)
+        self.state = ChainState(m, vote_rule=vote_rule, genesis=genesis)
         self.rng = np.random.default_rng(seed)
         self.now = 0.0
-        self.last_superblock = LastSuperblock()
+        self.last_superblock = LastSuperblock(None if superblock is None else lambda: superblock)
 
     def context(self, miner_id=0, tx_capacity=100) -> MinerContext:
         return honest_context(self.state, miner_id, self.now, tx_capacity)

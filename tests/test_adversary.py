@@ -83,6 +83,7 @@ def test_every_mined_block_validates_under_a_strategy(strategy):
         validate_block(block, sim.params, scheme)
     for node in sim.nodes:
         node.state.check_invariants()
+    sim.engine.check_invariants()
 
 
 def _private_votes_from_scratch(strategy, chain):

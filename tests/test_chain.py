@@ -575,7 +575,9 @@ def test_vote_list_follows_a_most_voted_flip(vote_first):
     for block in [vote, second] if vote_first else [second, vote]:
         assert a.context().votes[1] == [(1, first.digest)]  # tie: arrival order
         a.state.receive_block(block)
-    assert a.context().votes == [[], [(1, second.digest)], [(1, second.digest)]]
+    votes = a.context().votes
+    assert votes == [[], [(1, second.digest)], [(1, second.digest)]]
+    assert votes[1] is votes[2]  # rewritten together from equal lists
     a.state.check_invariants()
 
 
@@ -591,6 +593,22 @@ def test_vote_list_follows_a_reorg_that_unvotes_a_level():
         main.state.receive_block(fork.mine("voter", chain_index=0))
     assert main.context().votes[0] == [(2, p2.digest)]
     main.state.check_invariants()
+
+
+def test_chains_owing_equal_lists_share_one_new_list():
+    """A new proposer level gives the chains that owed equal lists one
+    new list object, whether or not they held one object before."""
+    bench = Bench(m=4)
+    p1 = bench.mine("proposer")
+    lists = bench.state.vote_lists
+    assert all(votes is lists[0] for votes in lists)
+    bench.mine("voter", chain_index=0)
+    bench.mine("voter", chain_index=1)
+    assert lists[0] == lists[1] == [] and lists[0] is not lists[1]
+    p2 = bench.mine("proposer")
+    assert lists[0] is lists[1] and lists[0] == [(2, p2.digest)]
+    assert lists[2] is lists[3] and lists[2] == [(1, p1.digest), (2, p2.digest)]
+    bench.state.check_invariants()
 
 
 def test_unchanged_vote_lists_keep_their_identity():

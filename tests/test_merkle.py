@@ -149,3 +149,31 @@ def test_update_rehashes_only_changed_paths(monkeypatch):
     tree.update([1001])
     assert len(hashed) == 1 + 10  # the leaf and one node per level above it
     assert tree.root == reference_root(tree.leaves)
+
+
+def test_build_and_update_hash_each_distinct_input_once(monkeypatch):
+    """Equal leaves, and the equal pairs above them, are hashed once per
+    build; ``update`` hashes each distinct rewritten leaf once."""
+    leaves = [b"same"] * 1000 + [b"a", b"b"]
+    hashed = []
+    monkeypatch.setattr(merkle, "sha256", lambda data: hashed.append(data) or sha256(data))
+    tree = MerkleTree(leaves)
+    assert len(hashed) == len(set(hashed)) < 40
+    assert tree.root == reference_root(leaves)
+    hashed.clear()
+    for i in range(0, 1000, 2):
+        tree.leaves[i] = b"other"
+    tree.update(range(0, 1000, 2))
+    assert hashed.count(b"other") == 1
+    assert tree.root == reference_root(tree.leaves)
+
+
+def test_a_copy_updates_apart_from_its_original():
+    leaves = [bytes([i]) * 4 for i in range(9)]
+    tree = MerkleTree(leaves)
+    levels = [list(level) for level in tree.levels]
+    copy = tree.copy()
+    copy.leaves[4] = b"changed"
+    copy.update([4])
+    assert tree.levels == levels and tree.leaves == leaves
+    assert copy.root == reference_root(copy.leaves) != tree.root

@@ -17,6 +17,7 @@ from test_acceptance import BALANCING_CFG, SAFETY_CFG
 import prismsim
 from prismsim.adversary import install_strategies
 from prismsim.baseline import LCBlock, LCNode, LongestChainSimulation
+from prismsim.chain import ChainState
 from prismsim.config import ConfigError, resolve
 from prismsim.netsim import (
     ARRIVE,
@@ -252,6 +253,16 @@ def test_conservation_holds_at_every_checkpoint():
     assert audits and all(audits)
 
 
+def test_engine_check_invariants_reports_lost_value():
+    sim = run(small_cfg(duration=20.0, workload={"tps": 20.0}), seed=12).sim
+    engine = sim.engine
+    assert engine.sanitized_count > 0
+    engine.check_invariants()
+    engine.utxo.popitem()
+    with pytest.raises(AssertionError, match="value"):
+        engine.check_invariants()
+
+
 def test_aggregate_mining_rate_preserved_by_rescheduling():
     # one exponential draw per completion, at each node's share, must keep
     # blocks/s at f
@@ -440,6 +451,28 @@ def test_each_block_object_validated_and_sized_once(monkeypatch):
         # every mined block is sent, so each is validated and sized; once
         assert len(calls) >= report.blocks["total"]
         assert len({id(block) for block in calls}) == len(calls)
+
+
+def test_a_receipt_asks_seen_once(monkeypatch):
+    """``Node.on_block`` asks ``seen`` once and stores through
+    ``receive_new_block``; the only other asks are for a node's own
+    blocks, one each, in ``receive_block``."""
+    calls = {"seen": 0, "on_block": 0}
+
+    def counting(cls, name):
+        real = getattr(cls, name)
+
+        def wrapped(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapped)
+
+    counting(ChainState, "seen")
+    counting(Node, "on_block")
+    report = Simulation(small_cfg(duration=10.0), seed=0).run().report
+    assert calls["on_block"] > 0
+    assert calls["seen"] == calls["on_block"] + report.blocks["total"]
 
 
 def test_verdict_is_kept_per_object_not_per_digest():

@@ -17,7 +17,8 @@ tree.  Sections (``--sections``, default all of them):
 - ``digests``: ``perfbench/run.py --digests`` at seeds 0 and 1 in
   both trees, and whether the two print the same lines.
 - ``long``: the long runs below, each ``Simulation.run()`` in a fresh
-  process, alternately: host seconds, the collector's seconds and
+  process, alternately: set-up seconds (building the ``Simulation``)
+  and peak RSS after set-up, run seconds, the collector's seconds and
   passes during the run (``gc.callbacks``), peak RSS and the digest of
   the report and confirmation trace.
 - ``tier1``: the tier-1 suite in each tree, back to back, parent first.
@@ -50,6 +51,9 @@ LONG_RUNS = {
     "paper_shape_300s": ("paper-shape", {"duration": 300.0}, 0),
     "100_nodes_40s": ("desk", {"duration": 40.0, "topology": {"nodes": 100, "degree": 6}}, 0),
     "1000_nodes_10s": ("desk", {"duration": 10.0, "topology": {"nodes": 1000, "degree": 6}}, 0),
+    "paper_shape_1000_nodes_10s": (
+        "paper-shape", {"duration": 10.0, "topology": {"nodes": 1000, "degree": 6}}, 0
+    ),
 }
 
 # run in a fresh interpreter with the tree's src on the path
@@ -58,7 +62,10 @@ import gc, hashlib, json, resource, sys, time
 from prismsim.config import resolve
 from prismsim.netsim import Simulation
 profile, overlay, seed = json.loads(sys.argv[1])
+started = time.perf_counter()
 sim = Simulation(resolve(overlay, profile=profile), seed)
+setup_s = time.perf_counter() - started
+setup_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 collector = {"s": 0.0, "passes": 0, "full_passes": 0, "started": 0.0}
 def timer(phase, info):
     if phase == "start":
@@ -74,6 +81,8 @@ run_s = time.perf_counter() - started
 gc.callbacks.remove(timer)
 body = {"report": result.report.deterministic_dict(), "trace": sim.engine.trace}
 print(json.dumps({
+    "setup_s": round(setup_s, 3),
+    "setup_rss_mb": round(setup_rss_mb, 1),
     "run_s": round(run_s, 3),
     "collector_s": round(collector["s"], 3),
     "collector_passes": collector["passes"],
@@ -197,7 +206,8 @@ def run_long(trees: dict, args) -> dict:
         out[name] = {
             "config": {"profile": profile, "overlay": overlay, "seed": seed},
             **{key: {side: [r[key] for r in runs] for side, runs in rows.items()}
-               for key in ("run_s", "collector_s", "collector_passes", "full_passes", "peak_rss_mb")},
+               for key in ("setup_s", "setup_rss_mb", "run_s", "collector_s", "collector_passes",
+                           "full_passes", "peak_rss_mb")},
             "same_digest": len(digests) == 1,
             "digest": sorted(digests),
         }
@@ -277,8 +287,9 @@ def measure(out: dict, trees: dict, sections: list[str], args) -> None:
     if "long" in sections:
         out["long_runs"] = {
             "note": ("Simulation.run() in a fresh process per run, alternating pairs (parent first "
-                     "in even pairs); collector seconds and passes from gc.callbacks during the run; "
-                     "peak RSS from getrusage; digest over the report and confirmation trace"),
+                     "in even pairs); setup_s times building the Simulation, and setup_rss_mb is the "
+                     "peak RSS after it; collector seconds and passes from gc.callbacks during the "
+                     "run; peak RSS from getrusage; digest over the report and confirmation trace"),
             **out.get("long_runs", {}), **run_long(trees, args),
         }
     if "tier1" in sections:
