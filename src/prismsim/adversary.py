@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .blocks import Block, PROPOSER, TRANSACTION
-from .chain import ChainState
+from .chain import ChainState, VoterSlots, VoterTree, _expect_equal
 from .mining import MinerContext, honest_context
 
 
@@ -89,43 +89,49 @@ class BalancingStrategy(Strategy):
 
 @dataclass
 class _PrivateFork:
-    base_public_len: int
     tip: bytes
     length: int
     voted: set[int] = field(default_factory=set)
 
 
-class PrivateDoubleSpendStrategy(Strategy):
+class PrivateDoubleSpendStrategy(Strategy, VoterSlots):
     """Withhold a competing proposer block at the target level and race
     every voter chain privately to shift votes onto it.
 
     Release fires when the private chain is strictly longer than the
     public one (so it wins the fork choice) and votes for the private
     candidate on at least m/2 + margin chains, or at the timeout.
+
+    Once attacking, the strategy is the source of its own voter slots.
+    Per chain it keeps its fork, the fork's tip in ``voter_tips`` and the
+    fork's vote list in ``vote_lists``: (level, first-seen candidate) for
+    every level up to the top the fork has not voted, the private block
+    standing for the target level once it exists.  A list changes only
+    when its fork votes, and every list when ``votes_for``, the top
+    proposer level and whether the private block exists, moves; the
+    slot-change log names just those slots, so a superblock rewrites
+    only them.  ``target_voters`` holds the chains whose fork voted the
+    target level.
     """
 
     def __init__(self, target_level: int, release_margin: int, release_timeout: float):
+        VoterSlots.__init__(self, [], [])
         self.target_level = target_level
         self.release_margin = release_margin
         self.release_timeout = release_timeout
         self.phase = "waiting"
         self.private_block: Block | None = None
-        self.forks: dict[int, _PrivateFork] = {}
+        self.forks: list[_PrivateFork] = []
+        self.target_voters: set[int] = set()
         self.withheld: list[Block] = []
         self.released = False
-        # per chain, the private vote list as of ``votes_for``; a chain's
-        # list is dropped when its fork votes, all of them when either
-        # part of ``votes_for`` moves
-        self.private_votes: dict[int, list[tuple[int, bytes]]] = {}
+        # the (top proposer level, private block exists) the lists are built for
         self.votes_for: tuple[int, bool] = (0, False)
 
     # --- fork bookkeeping -------------------------------------------------------
 
-    def _fork(self, chain: int) -> _PrivateFork:
-        fork = self.forks.get(chain)
-        if fork is not None:
-            return fork
-        tree = self.node.state.voter_trees[chain]
+    def _fork(self, tree: VoterTree) -> _PrivateFork:
+        """A private fork of the public ``tree`` as it stands now."""
         base = tree.tip
         base_len = tree.tip_chainlen
         voted = {level for level in tree.main_votes}
@@ -143,39 +149,55 @@ class PrivateDoubleSpendStrategy(Strategy):
                 for level, (_, clen) in tree.main_votes.items()
                 if clen <= base_len
             }
-        fork = _PrivateFork(base_public_len=base_len, tip=base, length=base_len, voted=voted)
-        self.forks[chain] = fork
-        return fork
+        return _PrivateFork(tip=base, length=base_len, voted=voted)
 
-    def _private_votes(self, chain: int) -> list[tuple[int, bytes]]:
-        """The fork's vote list, rebuilt only when it may have changed.
+    def _start(self) -> None:
+        """Fork every voter chain from the public trees as they stand.
+        Attacking means a block at the target level (>= 1) is stored, so
+        ``votes_for`` moves next and every list is built."""
+        self.forks = [self._fork(tree) for tree in self.node.state.voter_trees]
+        self.target_voters = {
+            i for i, fork in enumerate(self.forks) if self.target_level in fork.voted
+        }
+        self.voter_tips = [fork.tip for fork in self.forks]
 
-        Its inputs are the fork's voted levels, the top proposer level and
-        whether the private block exists; first-seen choices below the top
-        level are fixed.  A rebuild makes a new list, so an unchanged list
-        keeps its identity and its leaf bytes in the miner.
-        """
+    def _votes(self, fork: _PrivateFork) -> list[tuple[int, bytes]]:
+        """The fork's vote list as of ``votes_for``.  First-seen choices
+        below the top level are fixed, so the list depends on nothing
+        else."""
         state = self.node.state
-        votes_for = (state.prp_parent_level, self.private_block is not None)
-        if votes_for != self.votes_for:
-            self.votes_for = votes_for
-            self.private_votes.clear()
-        votes = self.private_votes.get(chain)
-        if votes is not None:
-            return votes
-        fork = self._fork(chain)
-        votes = self.private_votes[chain] = []
-        for level in range(1, state.prp_parent_level + 1):
+        top, private = self.votes_for
+        votes = []
+        for level in range(1, top + 1):
             if level in fork.voted:
                 continue
             if level == self.target_level:
-                if self.private_block is not None:
+                if private:
                     votes.append((level, self.private_block.digest))
             else:
                 choice = state.first_seen_at(level)
                 if choice is not None:
                     votes.append((level, choice))
         return votes
+
+    def _rebuild_lists(self) -> None:
+        """Rebuild every fork's list; forks with equal lists share one."""
+        shared: dict[tuple, list[tuple[int, bytes]]] = {}
+        self.vote_lists = []
+        for fork in self.forks:
+            votes = self._votes(fork)
+            self.vote_lists.append(shared.setdefault(tuple(votes), votes))
+        self._slots_changed(range(len(self.forks)))
+
+    def check_invariants(self) -> None:
+        """Compare the kept tips, vote lists and target voters with a
+        rebuild from the forks, the lists as of ``votes_for``; raise
+        AssertionError on the first mismatch.  For tests, not runs."""
+        _expect_equal("private tips", self.voter_tips, [fork.tip for fork in self.forks])
+        for i, fork in enumerate(self.forks):
+            _expect_equal(f"private vote list of chain {i}", self.vote_lists[i], self._votes(fork))
+        voters = {i for i, fork in enumerate(self.forks) if self.target_level in fork.voted}
+        _expect_equal("target voters", self.target_voters, voters)
 
     # --- mining ------------------------------------------------------------------
 
@@ -184,10 +206,13 @@ class PrivateDoubleSpendStrategy(Strategy):
             return None
         node = self.node
         state = node.state
-        ctx = honest_context(state, node.id, now, self.sim.tx_capacity)
-        for i in range(state.m):
-            ctx.replace_parent(i, self._fork(i).tip)
-            ctx.replace_votes(i, self._private_votes(i))
+        if not self.forks:
+            self._start()
+        votes_for = (state.prp_parent_level, self.private_block is not None)
+        if votes_for != self.votes_for:
+            self.votes_for = votes_for
+            self._rebuild_lists()
+        ctx = honest_context(state, node.id, now, self.sim.tx_capacity, slots=self)
         if self.private_block is None:
             public = state.prp_by_level.get(self.target_level)
             if public:
@@ -211,11 +236,14 @@ class PrivateDoubleSpendStrategy(Strategy):
                 return self._maybe_release(now)
             return [block] + self._maybe_release(now)
         chain = block.block_type.chain_index
-        fork = self._fork(chain)
-        fork.tip = block.digest
+        fork = self.forks[chain]
+        fork.tip = self.voter_tips[chain] = block.digest
         fork.length += 1
         fork.voted.update(level for level, _ in block.content.votes)
-        self.private_votes.pop(chain, None)
+        if self.target_level in fork.voted:
+            self.target_voters.add(chain)
+        self.vote_lists[chain] = self._votes(fork)
+        self._slots_changed((chain,))
         if self.phase == "released":
             return [block]
         self.withheld.append(block)
@@ -231,20 +259,18 @@ class PrivateDoubleSpendStrategy(Strategy):
         return self._maybe_release(now)
 
     def _winning_chains(self) -> int:
-        state = self.node.state
-        count = 0
-        for i, fork in self.forks.items():
-            if self.target_level not in fork.voted:
-                continue
-            if fork.length > state.voter_trees[i].tip_chainlen:
-                count += 1
-        return count
+        trees = self.node.state.voter_trees
+        forks = self.forks
+        return sum(forks[i].length > trees[i].tip_chainlen for i in self.target_voters)
 
     def _maybe_release(self, now: float) -> list[Block]:
         if self.phase != "attacking" or not self.withheld:
             return []
         threshold = self.node.state.m / 2 + self.release_margin
-        if self._winning_chains() >= threshold or now >= self.release_timeout:
+        # only forks that voted the target can win: count them only when
+        # there are enough of them
+        winning = len(self.target_voters) >= threshold and self._winning_chains() >= threshold
+        if winning or now >= self.release_timeout:
             self.phase = "released"
             self.released = True
             backlog = self.withheld

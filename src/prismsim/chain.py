@@ -162,8 +162,54 @@ class TxRejected:
 TX_ACCEPTED = Accepted()
 
 
-class ChainState:
-    """One node's view of the whole Prism block structure."""
+class VoterSlots:
+    """The voter slots a miner fills, one per chain: a tip to extend and
+    a vote list to cast, with a log of when each slot last changed.
+
+    A superblock kept from an earlier context of the same source rewrites
+    only the slots ``slots_changed_since`` the epoch it saw.  A node's
+    ``ChainState`` is one source and a strategy that keeps its own slots
+    another.  A vote list is replaced, never edited, so an unchanged list
+    keeps its identity between blocks; callers must not edit one.  Slots
+    rewritten together from equal lists share one new list.
+    """
+
+    def __init__(self, tips: list[bytes], lists: list[list[tuple[int, bytes]]]) -> None:
+        self.voter_tips = tips
+        # per chain: (level, proposer digest)
+        self.vote_lists = lists
+        # voter slots by their last change of tip or vote list, oldest
+        # first, each with the epoch of that change.  Never drained: every
+        # reader remembers the epoch it has seen (``slots_changed_since``)
+        self.slot_epoch = 0
+        self.slot_changes: dict[int, int] = {}
+
+    def _slots_changed(self, indexes) -> None:
+        """Move ``indexes`` to the end of the slot-change log under one
+        new epoch."""
+        self.slot_epoch += 1
+        log = self.slot_changes
+        for index in indexes:
+            log.pop(index, None)
+            log[index] = self.slot_epoch
+
+    def slots_changed_since(self, epoch: int) -> list[int]:
+        """Voter slots whose tip or vote list changed after ``epoch`` (a
+        past ``slot_epoch``), newest change first."""
+        changed = []
+        for index, at in reversed(self.slot_changes.items()):
+            if at <= epoch:
+                break
+            changed.append(index)
+        return changed
+
+
+class ChainState(VoterSlots):
+    """One node's view of the whole Prism block structure.
+
+    Its voter slots are the honest miner's: each chain's longest-chain
+    tip, and (level, vote choice) for every level that chain's main chain
+    has not voted, in level order."""
 
     def __init__(self, m: int, vote_rule: str = FIRST_SEEN, genesis: Genesis | None = None):
         """``genesis`` is the run's shared ``Genesis(m)``; without one the
@@ -173,6 +219,7 @@ class ChainState:
         genesis = genesis or Genesis(m)
         if len(genesis.voters) != m:
             raise ValueError(f"genesis of {len(genesis.voters)} voter chains for m = {m}")
+        super().__init__(list(genesis.voters), [[] for _ in range(m)])
         self.m = m
         self.vote_rule = vote_rule
         self.proposer_genesis = genesis.proposer
@@ -199,18 +246,6 @@ class ChainState:
         self.votes_by_level: dict[int, dict[bytes, int]] = {}
         # vote_choice(level) for every proposer level
         self.vote_choices: dict[int, bytes] = {}
-        # the honest miner's vote list per chain: (level, vote choice) for
-        # every level its main chain has not voted, in level order.  A list
-        # is replaced, never edited, so an unchanged list keeps its identity
-        # between blocks; callers must not edit one.  Chains rewritten
-        # together from equal lists share one new list
-        self.vote_lists: list[list[tuple[int, bytes]]] = [[] for _ in range(m)]
-        self.voter_tips: list[bytes] = list(genesis.voters)
-        # voter slots by their last change of tip or vote list, oldest
-        # first, each with the epoch of that change.  Never drained: every
-        # reader remembers the epoch it has seen (``slots_changed_since``)
-        self.slot_epoch = 0
-        self.slot_changes: dict[int, int] = {}
 
         self.orphans: dict[bytes, list[Block]] = {}
         self.orphan_digests: set[bytes] = set()
@@ -463,25 +498,6 @@ class ChainState:
                 new = rewritten[key] = rewrite(lists[i])
             lists[i] = new
         self._slots_changed(owing)
-
-    def _slots_changed(self, indexes) -> None:
-        """Move ``indexes`` to the end of the slot-change log under one
-        new epoch."""
-        self.slot_epoch += 1
-        log = self.slot_changes
-        for index in indexes:
-            log.pop(index, None)
-            log[index] = self.slot_epoch
-
-    def slots_changed_since(self, epoch: int) -> list[int]:
-        """Voter slots whose tip or honest vote list changed after
-        ``epoch`` (a past ``slot_epoch``), newest change first."""
-        changed = []
-        for index, at in reversed(self.slot_changes.items()):
-            if at <= epoch:
-                break
-            changed.append(index)
-        return changed
 
     # --- queries ---------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from .blocks import (
     serialize_content,
     sortition,
 )
-from .chain import ChainState, Genesis
+from .chain import ChainState, Genesis, VoterSlots
 from .ledger import Transaction
 from .merkle import MerkleTree
 from .serialize import u32, u64
@@ -36,13 +36,16 @@ from .serialize import u32, u64
 class MinerContext:
     """Materialized superblock inputs for one mining completion.
 
-    An honest snapshot names its ``source`` state and that state's
-    ``slot_epoch``, so a miner's kept superblock revisits only the voter
-    slots the state reports changed since its last block.  A strategy
-    changes a voter slot through ``replace_parent`` and ``replace_votes``,
-    which name the slot for the miner; it never assigns into ``vt_parent``
-    or ``votes`` directly, and never edits a vote list in place.  A
-    context without a source is assembled afresh.
+    A snapshot names the ``source`` of its voter slots and that source's
+    ``slot_epoch``.  A source is anything with ``slot_epoch`` and
+    ``slots_changed_since`` (a ``VoterSlots``): a node's ``ChainState``,
+    or a strategy that keeps its own slots.  A miner's kept superblock
+    then revisits only the voter slots the source reports changed since
+    its last block.  A strategy that edits an honest snapshot changes a
+    voter slot through ``replace_parent`` and ``replace_votes``, which
+    name the slot for the miner; it never assigns into ``vt_parent`` or
+    ``votes`` directly, and never edits a vote list in place.  A context
+    without a source rewrites every slot.
     """
 
     miner_id: int
@@ -54,7 +57,7 @@ class MinerContext:
     unref_tx_refs: tuple[bytes, ...]
     # per chain: (level, proposer digest)
     votes: list[list[tuple[int, bytes]]]
-    source: ChainState | None = None
+    source: VoterSlots | None = None
     epoch: int = 0
     replaced: set[int] = field(default_factory=set)  # voter slots a strategy replaced
 
@@ -67,28 +70,33 @@ class MinerContext:
         self.replaced.add(chain)
 
 
-def honest_context(state: ChainState, miner_id: int, now: float, tx_capacity: int) -> MinerContext:
+def honest_context(
+    state: ChainState, miner_id: int, now: float, tx_capacity: int, slots: VoterSlots | None = None
+) -> MinerContext:
     """Snapshot a node's state the way an honest miner assembles it.
 
     Voter content carries one vote per unvoted level of that chain, in
     level order; proposer content references both unreferenced pools in
     arrival order; transaction content is a FIFO snapshot of released
-    mempool entries.
+    mempool entries.  ``slots``, a strategy's own, replaces the state's
+    voter slots, and is then the context's source.
     """
     # the mining target itself is the one ancestor the pool can still hold;
     # reference lists must not name the block's own ancestors
     prp_refs = tuple(d for d in state.unref_prp_pool if d != state.prp_parent)
+    if slots is None:
+        slots = state
     return MinerContext(
         miner_id=miner_id,
         prp_parent=state.prp_parent,
         prp_parent_level=state.prp_parent_level,
-        vt_parent=list(state.voter_tips),
+        vt_parent=list(slots.voter_tips),
         txs=state.eligible_transactions(now, tx_capacity),
         unref_prp_refs=prp_refs,
         unref_tx_refs=tuple(state.unref_tx_pool),
-        votes=list(state.vote_lists),
-        source=state,
-        epoch=state.slot_epoch,
+        votes=list(slots.vote_lists),
+        source=slots,
+        epoch=slots.slot_epoch,
     )
 
 
@@ -130,12 +138,15 @@ class LastSuperblock:
     (None before its first block), the vote list object behind each voter
     content leaf, and where its context came from.
 
-    The next context from the same source state rewrites only the voter
-    slots that state reports changed since, and the slots either context
-    replaced.  Any other context starts from a copy of the genesis
-    superblock, which ``genesis`` returns (a run shares one; without it
-    each start builds its own).  Each tree then rehashes only the leaves
-    whose bytes moved.
+    The next context from the same source (a node's ``ChainState`` or a
+    strategy's own ``VoterSlots``) rewrites only the voter slots that
+    source reports changed since, and the slots either context replaced.
+    A context of the same width from another source, or from none,
+    rewrites every voter slot into the kept trees.  The first context, or
+    one of another width, starts from a copy of the genesis superblock,
+    which ``genesis`` returns (a run shares one; without it each start
+    builds its own).  Each tree then rehashes only the leaves whose bytes
+    moved.
     """
 
     def __init__(self, genesis: Callable[[], GenesisSuperblock] | None = None) -> None:
@@ -143,7 +154,7 @@ class LastSuperblock:
         self.parents: MerkleTree | None = None
         self.contents: MerkleTree | None = None
         self.votes: list[list[tuple[int, bytes]] | None] = []
-        self.source: ChainState | None = None
+        self.source: VoterSlots | None = None
         self.epoch = 0
         self.replaced: set[int] = set()
 
@@ -168,16 +179,25 @@ def assemble_superblock(
     m+1.  The transaction slot's parent is the proposer parent.  ``last``
     is the miner's previous superblock, which then holds this one; the
     leaf lists returned are its trees' own, valid until its next
-    assembly.  A context from another source state, or of another width,
-    starts from the genesis superblock, as it does without ``last``: a
-    slot its source state has not changed since genesis holds the
-    genesis leaves, and a context without a source rewrites every slot.
+    assembly.  The slots rewritten depend on where ``ctx`` came from:
+
+    - the source of ``last``: the voter slots that source logged since
+      the older of the two epochs, and the slots either context replaced;
+    - another source, or none, at the width of ``last``: every voter
+      slot, into the kept trees (a strategy that starts keeping its own
+      slots switches source once per run);
+    - no ``last``, or another width: the genesis superblock is copied
+      first, and a slot its source has not changed since genesis keeps
+      the genesis leaves; a context without a source rewrites every slot.
     """
     last = last or LastSuperblock()
     m = len(ctx.votes)
-    if ctx.source is not None and ctx.source is last.source and len(last.votes) == m:
-        slots = set(ctx.source.slots_changed_since(min(ctx.epoch, last.epoch)))
-        slots.update(last.replaced)
+    if last.parents is not None and len(last.votes) == m:
+        if ctx.source is not None and ctx.source is last.source:
+            slots = set(ctx.source.slots_changed_since(min(ctx.epoch, last.epoch)))
+            slots.update(last.replaced)
+        else:
+            slots = set(range(m))
     else:
         parents, contents = last.genesis() if last.genesis else genesis_superblock(Genesis(m))
         if len(parents.leaves) != m + 2:

@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 
 from helpers import SCHEME, Bench, u_for
+from test_mining import _check_kept_assembly
 
+from prismsim import mining
 from prismsim.blocks import validate_block
 from prismsim.adversary import BalancingStrategy, PrivateDoubleSpendStrategy
 from prismsim.config import resolve
@@ -83,6 +85,8 @@ def test_every_mined_block_validates_under_a_strategy(strategy):
         validate_block(block, sim.params, scheme)
     for node in sim.nodes:
         node.state.check_invariants()
+        if isinstance(node.strategy, PrivateDoubleSpendStrategy):
+            node.strategy.check_invariants()
     sim.engine.check_invariants()
 
 
@@ -113,6 +117,7 @@ def test_kept_private_votes_match_a_rebuild(monkeypatch):
         if ctx is not None:
             fresh = [_private_votes_from_scratch(strategy, i) for i in range(len(ctx.votes))]
             assert ctx.votes == fresh
+            strategy.check_invariants()
             seen.append((strategy.node.state.prp_parent_level, strategy.private_block is not None))
         return ctx
 
@@ -120,6 +125,46 @@ def test_kept_private_votes_match_a_rebuild(monkeypatch):
     run(attack_cfg("private_double_spend", 0.3, target_level=2), seed=4)
     assert len({level for level, _ in seen}) > 3
     assert {private for _, private in seen} == {False, True}
+
+
+def test_private_superblock_rewrites_only_the_slots_its_strategy_logged(monkeypatch):
+    """The adversary's kept superblock equals a fresh assembly after each
+    of its assemblies, the switch from the node's slots to the strategy's
+    own included; from then on each assembly writes only the voter slots
+    the strategy logged since the last one, not all m."""
+    cfg = attack_cfg("private_double_spend", 0.3, target_level=2)
+    m, adversary = cfg["prism"]["m"], cfg["topology"]["nodes"] - 1
+    real_assemble, real_write = mining.assemble_superblock, mining._write_slots
+    written = []
+
+    def write(ctx, slots, *rest):
+        written.append(set(slots))
+        return real_write(ctx, slots, *rest)
+
+    switches = 0
+    private_writes = []
+
+    def checked(ctx, last):
+        nonlocal switches
+        if ctx.miner_id != adversary:
+            return real_assemble(ctx, last)
+        private = isinstance(ctx.source, PrivateDoubleSpendStrategy)
+        same_source = last.source is ctx.source
+        switches += private and last.parents is not None and not same_source
+        since = last.epoch
+        written.clear()
+        _check_kept_assembly(ctx, last)  # the kept assembly writes first
+        if private and same_source:
+            assert written[0] <= set(ctx.source.slots_changed_since(since))
+            private_writes.append(len(written[0]))
+        return last.parents.leaves, last.contents.leaves, last.parents.root, last.contents.root
+
+    monkeypatch.setattr(mining, "_write_slots", write)
+    monkeypatch.setattr(mining, "assemble_superblock", checked)
+    result = run(cfg, seed=4)
+    assert switches == 1
+    assert len(private_writes) > 50 and sum(private_writes) < len(private_writes) * m / 4
+    result.sim.nodes[adversary].strategy.check_invariants()
 
 
 def test_private_attack_releases_and_votes_private_candidate():
