@@ -8,6 +8,7 @@ nothing until release, then the whole backlog.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .blocks import Block, PROPOSER, TRANSACTION
@@ -26,8 +27,11 @@ def _compete_with(ctx: MinerContext, state: ChainState, digest: bytes) -> None:
 
 class Strategy:
     def attach(self, sim, node) -> None:
-        self.sim = sim
-        self.node = node
+        """Bind to ``node`` of ``sim``.  Both are held as weak proxies:
+        the node holds its strategy (and its last superblock may hold it as
+        a slot source), so strong references back would make a cycle."""
+        self.sim = weakref.proxy(sim)
+        self.node = weakref.proxy(node)
 
     def build_context(self, now: float) -> MinerContext | None:
         return None  # honest assembly
@@ -258,19 +262,26 @@ class PrivateDoubleSpendStrategy(Strategy, VoterSlots):
             return []
         return self._maybe_release(now)
 
-    def _winning_chains(self) -> int:
+    def _winning(self, threshold: float) -> bool:
+        """Whether at least ``threshold`` forks that voted the target are
+        longer than their public chains.  Only those forks can win, and
+        counting stops once the answer is known."""
         trees = self.node.state.voter_trees
         forks = self.forks
-        return sum(forks[i].length > trees[i].tip_chainlen for i in self.target_voters)
+        need = threshold
+        left = len(self.target_voters)
+        for i in self.target_voters:
+            if need <= 0 or left < need:
+                break
+            left -= 1
+            if forks[i].length > trees[i].tip_chainlen:
+                need -= 1
+        return need <= 0
 
     def _maybe_release(self, now: float) -> list[Block]:
         if self.phase != "attacking" or not self.withheld:
             return []
-        threshold = self.node.state.m / 2 + self.release_margin
-        # only forks that voted the target can win: count them only when
-        # there are enough of them
-        winning = len(self.target_voters) >= threshold and self._winning_chains() >= threshold
-        if winning or now >= self.release_timeout:
+        if self._winning(self.node.state.m / 2 + self.release_margin) or now >= self.release_timeout:
             self.phase = "released"
             self.released = True
             backlog = self.withheld

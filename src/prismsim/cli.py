@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -117,6 +116,9 @@ def run_batch(cfg: dict, seeds: list[int], workers: int | None = None) -> tuple[
         for seed in seeds:
             reports[seed] = run_simulation(cfg, seed).report.to_dict()
     else:
+        # imported here: a single run never needs the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for seed, report in pool.map(_batch_worker, [(cfg, s) for s in seeds]):
                 reports[seed] = report

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .blocks import PROPOSER, TRANSACTION
 from .chain import ChainState
@@ -373,7 +373,7 @@ class ConfirmationEngine:
         epsilon: float,
         scheme: SignatureScheme,
         initial_utxo: dict[CoinId, Utxo],
-        mine_time_of: Callable[[bytes], float] | None = None,
+        mine_times: dict[bytes, float] | None = None,
     ):
         self.state = state
         self.beta = beta
@@ -381,7 +381,8 @@ class ConfirmationEngine:
         self.scheme = scheme
         self.utxo = dict(initial_utxo)
         self.genesis_total = total_value(initial_utxo)
-        self.mine_time_of = mine_time_of or (lambda digest: 0.0)
+        # block digest -> mining time; a block missing from it counts as mined at 0
+        self.mine_times = {} if mine_times is None else mine_times
 
         self.leaders: list[bytes] = []
         self.included_prp: set[bytes] = set()
@@ -403,7 +404,7 @@ class ConfirmationEngine:
                 self.sanitized_count += 1
                 self.fees.append(fee)
                 self.latency_samples.append(
-                    LatencySample(tx.digest, self.mine_time_of(block_digest), now)
+                    LatencySample(tx.digest, self.mine_times.get(block_digest, 0.0), now)
                 )
 
     def check_invariants(self) -> None:

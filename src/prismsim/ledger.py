@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 from .crypto import KeyPair, SignatureScheme, sha256
 from .serialize import lp_bytes, u32, u64
@@ -230,6 +232,8 @@ def sanitize_parallel(
         raise ValueError("workers must be >= 1")
     if workers == 1:
         return sanitize(txs, utxo_set, scheme)
+    # imported here: no simulation run sanitizes in parallel
+    from concurrent.futures import ThreadPoolExecutor
 
     n = len(txs)
     applied_flags = [False] * n

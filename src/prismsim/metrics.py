@@ -7,10 +7,24 @@ sub-object so determinism checks can ignore it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """``np.percentile(ordered, 100 * q)`` by numpy's default ``linear``
+    method, bit for bit: virtual index ``(n - 1) * q`` between its floor
+    and the next element, the last element at or past the end, and the
+    interpolation taken from the nearer end as numpy's ``_lerp`` does."""
+    index = (len(ordered) - 1) * q
+    if index >= len(ordered) - 1:
+        return ordered[-1]
+    below = math.floor(index)
+    a, b, t = ordered[below], ordered[below + 1], index - below
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def latency_stats(samples, steady_start: float) -> dict:
@@ -18,7 +32,9 @@ def latency_stats(samples, steady_start: float) -> dict:
 
     A sample's latency runs from the mining of its containing block to
     its confirmation; only transactions whose block was mined after the
-    steady-state cutoff count.
+    steady-state cutoff count.  The median and p95 equal ``np.median``
+    and ``np.percentile(..., 95)`` bit for bit; computing them here
+    keeps numpy's masked-array module, which those import, out of a run.
     """
     lat = [
         s.confirmed_at - s.mined_at
@@ -27,12 +43,15 @@ def latency_stats(samples, steady_start: float) -> dict:
     ]
     if not lat:
         return {"median_s": None, "p95_s": None, "mean_s": None, "samples": 0}
-    arr = np.asarray(lat)
+    ordered = sorted(lat)
+    half = len(ordered) // 2
+    # np.median averages the two middle values as a sum over two
+    median = ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
     return {
-        "median_s": float(np.median(arr)),
-        "p95_s": float(np.percentile(arr, 95)),
-        "mean_s": float(arr.mean()),
-        "samples": int(arr.size),
+        "median_s": median,
+        "p95_s": _percentile(ordered, 0.95),
+        "mean_s": float(np.asarray(lat).mean()),
+        "samples": len(lat),
     }
 
 

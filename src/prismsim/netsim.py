@@ -25,7 +25,9 @@ import gc
 import heapq
 import random
 import time
+import weakref
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import combinations, count
 
 import numpy as np
@@ -52,7 +54,6 @@ from .ledger import (
     signed_transaction,
 )
 from .mining import (
-    GenesisSuperblock,
     LastSuperblock,
     finish_mining,
     genesis_superblock,
@@ -232,11 +233,17 @@ def block_wire_size(block: Block, sizes: dict) -> int:
 
 class Peer:
     """What a node of either protocol shares: identity, hash power and the
-    stream of a memoryless mining clock, drawn once per completion."""
+    stream of a memoryless mining clock, drawn once per completion.
+
+    ``sim`` is a weak proxy: the simulation owns its nodes, so a strong
+    back-reference would make every run a reference cycle that only the
+    cyclic collector frees.  A node is used only while its simulation is
+    alive.
+    """
 
     def __init__(self, node_id: int, sim: "EventCore", hash_power: float):
         self.id = node_id
-        self.sim = sim
+        self.sim = weakref.proxy(sim)
         self.hash_power = hash_power
         self.rng = np.random.default_rng([sim.seed, 1, node_id])
 
@@ -579,7 +586,10 @@ class Simulation(EventCore):
         self.tx_capacity = prism["tx_block_capacity"]
         # immutable, so every node's state and the genesis superblock share them
         self.genesis = Genesis(self.params.m)
-        self._genesis_superblock: GenesisSuperblock | None = None
+        # the run's one superblock over genesis, which every miner's first
+        # assembly copies; built at first use, inside the run.  It closes
+        # over the genesis alone, so the nodes hold no path back to the run.
+        self.genesis_superblock = cache(partial(genesis_superblock, self.genesis))
 
         honest_flags = self._assign_adversaries()
         powers = self._assign_powers(honest_flags)
@@ -595,7 +605,7 @@ class Simulation(EventCore):
             epsilon=prism["epsilon"],
             scheme=self.scheme,
             initial_utxo=self.genesis_utxo,
-            mine_time_of=lambda digest: self.mine_times.get(digest, 0.0),
+            mine_times=self.mine_times,
         )
         self.latency_samples = self.engine.latency_samples  # the engine appends
 
@@ -649,13 +659,6 @@ class Simulation(EventCore):
                 valid, size = self.verdict(found)
                 self.send(peer, (requester,), ARRIVE, found, size, now,
                           self.held_blocks, track=valid)
-
-    def genesis_superblock(self) -> GenesisSuperblock:
-        """The run's one superblock over genesis, which every miner's
-        first assembly copies; built at first use, inside the run."""
-        if self._genesis_superblock is None:
-            self._genesis_superblock = genesis_superblock(self.genesis)
-        return self._genesis_superblock
 
     def verdict(self, block: Block) -> tuple[bool, int]:
         """Whether ``block`` passes ``validate_block``, and its wire size:

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import SCHEME, Bench, u_for
@@ -88,6 +90,23 @@ def test_every_mined_block_validates_under_a_strategy(strategy):
         if isinstance(node.strategy, PrivateDoubleSpendStrategy):
             node.strategy.check_invariants()
     sim.engine.check_invariants()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.booleans()), max_size=12),
+    st.integers(0, 14).map(lambda twice: twice / 2),
+)
+def test_release_count_stops_early_with_the_full_count_verdict(chains, threshold):
+    """``_winning`` decides as counting every target-voting fork longer
+    than its public chain would, for whole and half thresholds."""
+    strategy = PrivateDoubleSpendStrategy(target_level=1, release_margin=0, release_timeout=1.0)
+    strategy.forks = [SimpleNamespace(length=private) for private, _, _ in chains]
+    trees = [SimpleNamespace(tip_chainlen=public) for _, public, _ in chains]
+    strategy.node = SimpleNamespace(state=SimpleNamespace(voter_trees=trees))
+    strategy.target_voters = {i for i, (_, _, voted) in enumerate(chains) if voted}
+    full = sum(strategy.forks[i].length > trees[i].tip_chainlen for i in strategy.target_voters)
+    assert strategy._winning(threshold) == (full >= threshold)
 
 
 def _private_votes_from_scratch(strategy, chain):
@@ -243,10 +262,15 @@ def test_censorship_blocks_are_empty():
                 assert block.content.prp_refs == () and block.content.tx_refs == ()
 
 
+class _Stub(SimpleNamespace):
+    """A stand-in that a strategy can hold weakly."""
+
+
 def _balancing_on(bench):
     strategy = BalancingStrategy()
-    node = SimpleNamespace(state=bench.state, id=5)
-    strategy.attach(SimpleNamespace(tx_capacity=100), node)
+    # a strategy holds its node and simulation weakly: the bench keeps them
+    bench.adversary = _Stub(state=bench.state, id=5), _Stub(tx_capacity=100)
+    strategy.attach(bench.adversary[1], bench.adversary[0])
     return strategy
 
 

@@ -674,9 +674,7 @@ def test_engine_confirms_and_traces():
     tx_block = bench.mine("transaction")
     bench.mine("proposer")
     mine_times = {tx_block.digest: 3.5}
-    engine = ConfirmationEngine(
-        bench.state, beta, eps, SCHEME, utxo, mine_time_of=lambda d: mine_times.get(d, 0.0)
-    )
+    engine = ConfirmationEngine(bench.state, beta, eps, SCHEME, utxo, mine_times=mine_times)
     engine.evaluate(5.0)
     assert engine.leaders == []  # shallow votes
     deepen_all_chains(bench, 12)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import networkx as nx
 import numpy as np
@@ -558,6 +559,46 @@ def test_collector_settings_survive_a_run(protocol, monkeypatch):
         assert gc.get_threshold() == CALLERS_GC
     finally:
         gc.set_threshold(*kept)
+
+
+# each Prism strategy, a spam run (which runs its no-jitter twin too) and
+# the longest chain, at short durations
+FREED_RUNS = {
+    "none": PRISM_SMALL,
+    "spam": {**PRISM_SMALL, "spam": {"enabled": True, "jitter": {"kind": "uniform"}}},
+    "private_double_spend": {**SAFETY_CFG, "duration": 6.0},
+    "censorship": {**PRISM_SMALL, "adversary": {"strategy": "censorship", "fraction": 0.25}},
+    "balancing": {
+        **BALANCING_CFG, "duration": 5.0, "adversary": {"strategy": "balancing", "fraction": 0.25}
+    },
+    "longest_chain": LC_SMALL,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREED_RUNS))
+def test_a_finished_run_is_freed_by_reference_counting(name):
+    """No reference cycle leads out of a run: once the result is dropped,
+    the simulation, its nodes and the strategy are gone with the
+    collector off, and a collection finds nothing left."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = run(resolve(FREED_RUNS[name]), 1)
+        adversary = result.sim.nodes[-1]
+        refs = [weakref.ref(result.sim), weakref.ref(adversary)]
+        strategy = getattr(adversary, "strategy", None)
+        if name in ("none", "spam", "longest_chain"):
+            assert strategy is None
+        else:
+            refs.append(weakref.ref(strategy))
+        if name == "private_double_spend":
+            # attacking: the miner's last superblock took the strategy as its slot source
+            assert strategy.forks and adversary.last_superblock.source is strategy
+        del result, adversary, strategy
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # prints one digest per config: deterministic report, confirmation trace,

@@ -21,6 +21,11 @@ tree.  Sections (``--sections``, default all of them):
   and peak RSS after set-up, run seconds, the collector's seconds and
   passes during the run (``gc.callbacks``), peak RSS and the digest of
   the report and confirmation trace.
+- ``serial``: criterion 3's config (the double-spend workload's) at
+  seeds 0-19, run back to back in one fresh interpreter per tree,
+  alternately: peak RSS after the first and after the last run, the
+  objects ``gc.collect()`` frees after the last, the wall time and one
+  digest over the reports.
 - ``tier1``: the tier-1 suite in each tree, back to back, parent first.
 
 An existing output file is updated: sections that did not run keep
@@ -44,7 +49,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("desk", "paper-shape", "double-spend", "longest-chain")
 END_TO_END = ("setup_s", "run_s", "peak_rss_mb", "host_run_s")
-SECTIONS = ("pairs", "digests", "long", "tier1")
+SECTIONS = ("pairs", "digests", "long", "serial", "tier1")
+SERIAL_SEEDS = range(20)
 
 # name -> (profile, overlay, seed)
 LONG_RUNS = {
@@ -89,6 +95,33 @@ print(json.dumps({
     "full_passes": collector["full_passes"],
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "digest": hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest(),
+}))
+"""
+
+# criterion 3's runs back to back in one interpreter, each result dropped
+# before the next run; run with the tree's src and perfbench on the path
+_SERIAL_RUNS = """
+import gc, hashlib, json, resource, sys, time
+from prismsim.config import resolve
+from prismsim.netsim import run
+from workloads import DOUBLE_SPEND
+cfg = resolve(DOUBLE_SPEND)
+gc.collect()  # the imports' garbage: the count after the last run is the runs' own
+digest = hashlib.sha256()
+peaks = []
+started = time.perf_counter()
+for seed in json.loads(sys.argv[1]):
+    result = run(cfg, seed)
+    digest.update(json.dumps(result.report.deterministic_dict(), sort_keys=True).encode())
+    result = None
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+wall_s = time.perf_counter() - started
+print(json.dumps({
+    "first_peak_rss_mb": round(peaks[0], 1),
+    "last_peak_rss_mb": round(peaks[-1], 1),
+    "collected_after_last": gc.collect(),
+    "wall_s": round(wall_s, 3),
+    "digest": digest.hexdigest(),
 }))
 """
 
@@ -214,6 +247,28 @@ def run_long(trees: dict, args) -> dict:
     return out
 
 
+def serial_run(tree: str) -> dict:
+    path = os.pathsep.join(os.path.join(tree, d) for d in ("src", "perfbench"))
+    proc = subprocess.run([sys.executable, "-c", _SERIAL_RUNS, json.dumps(list(SERIAL_SEEDS))],
+                          cwd=tree, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    return last_json(proc.stdout)
+
+
+def run_serial(trees: dict, args) -> dict:
+    rows: dict[str, list] = {"parent": [], "change": []}
+    for i in range(args.long_pairs):
+        for side in sides(i):
+            rows[side].append(serial_run(trees[side]))
+            print(f"serial {side}: {rows[side][-1]}", flush=True)
+    digests = {r["digest"] for side in rows.values() for r in side}
+    return {
+        **{key: {side: [r[key] for r in runs] for side, runs in rows.items()}
+           for key in ("first_peak_rss_mb", "last_peak_rss_mb", "collected_after_last", "wall_s")},
+        "same_digest": len(digests) == 1,
+    }
+
+
 def run_tier1(trees: dict) -> dict:
     out = {}
     for side in ("parent", "change"):
@@ -242,7 +297,7 @@ def main() -> None:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--long", default=",".join(LONG_RUNS))
-    parser.add_argument("--long-pairs", type=int, default=3)
+    parser.add_argument("--long-pairs", type=int, default=3, help="alternating pairs of long and serial runs")
     parser.add_argument("--change", help="one line on what the change does")
     parser.add_argument("--claim", help="metric:workload the change claims to improve")
     parser.add_argument("--workdir", default=None, help="where the parent is extracted")
@@ -291,6 +346,16 @@ def measure(out: dict, trees: dict, sections: list[str], args) -> None:
                      "peak RSS after it; collector seconds and passes from gc.callbacks during the "
                      "run; peak RSS from getrusage; digest over the report and confirmation trace"),
             **out.get("long_runs", {}), **run_long(trees, args),
+        }
+    if "serial" in sections:
+        out["serial_runs"] = {
+            "note": (f"criterion 3's config (perfbench/workloads.py DOUBLE_SPEND) at seeds "
+                     f"{SERIAL_SEEDS.start}-{SERIAL_SEEDS.stop - 1} back to back in one fresh "
+                     "interpreter per tree, alternating pairs (parent first in even pairs), each "
+                     "result dropped before the next run; peak RSS (getrusage) after the first and "
+                     "the last run, the objects gc.collect() frees after the last, wall seconds "
+                     "of the 20 runs, and whether every run printed the same report digest"),
+            **run_serial(trees, args),
         }
     if "tier1" in sections:
         out["tier1_wall_s"] = {
