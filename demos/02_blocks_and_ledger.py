@@ -4,24 +4,23 @@ Mines a few blocks by hand against one node's state, shows the sortition
 proofs verifying, then rebuilds the classic two-level ledger example where
 a duplicate payment and a double-spend get sanitized away.
 """
-import numpy as np
-
 from prismsim.blocks import SortitionParams, sortition, validate_block
 from prismsim.chain import ChainState
 from prismsim.confirmation import build_ledger
 from prismsim.crypto import get_scheme
 from prismsim.ledger import TxInput, TxOutput, Utxo, sanitize, signed_transaction
 from prismsim.mining import finish_mining, honest_context
+from prismsim.rng import default_rng
 
 scheme = get_scheme("mock")
 m = 8
 params = SortitionParams(m=m, rate_tx=2.0, rate_prop=0.5, rate_voter=0.25)
 
 print("=== sortition: one draw, one block type ===")
-rng = np.random.default_rng(0)
+rng = default_rng(0)
 counts = {}
 for _ in range(2000):
-    bt = sortition(float(rng.random()), params)
+    bt = sortition(rng.random(), params)
     key = bt.kind if bt.kind != "voter" else f"voter[{bt.chain_index}]"
     counts[key] = counts.get(key, 0) + 1
 total = params.total_rate

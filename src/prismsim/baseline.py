@@ -206,7 +206,7 @@ class LCNode(Peer):
 
     def on_mining_complete(self, now: float) -> None:
         txs = tuple(self.state.mineable_txs(self.sim.capacity))
-        block = LCBlock(self.state.tip, txs, int(self.rng.integers(2**62)), self.id)
+        block = LCBlock(self.state.tip, txs, self.rng.integers(2**62), self.id)
         self.sim.record_mined(block, now)
         self.state.receive_block(block)
         self.sim.broadcast(self.id, block, now, exclude=None)

@@ -14,11 +14,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .adversary import spam_bound_exponential
 from .baseline import nakamoto_reversal, prism_vote_aggregation
 from .config import ConfigError, load_config, resolve
+from .metrics import mean, sample_std
 from .netsim import run as run_simulation
 from .netsim import security_constraint
 
@@ -85,17 +84,16 @@ _AGGREGATE_FIELDS = [
 def aggregate_reports(reports: list[dict]) -> dict:
     metrics = {}
     for section, key in _AGGREGATE_FIELDS:
-        values = [r[section][key] for r in reports if r[section][key] is not None]
+        values = [float(r[section][key]) for r in reports if r[section][key] is not None]
         if not values:
             metrics[f"{section}.{key}"] = {"mean": None, "ci95": None, "n": 0}
             continue
-        arr = np.asarray(values, dtype=float)
-        ci = 1.96 * arr.std(ddof=1) / math.sqrt(arr.size) if arr.size > 1 else 0.0
+        n = len(values)
         metrics[f"{section}.{key}"] = {
-            "mean": float(arr.mean()),
-            "ci95": float(ci),
-            "n": int(arr.size),
-            "values": [float(v) for v in arr],
+            "mean": mean(values),
+            "ci95": 1.96 * sample_std(values) / math.sqrt(n) if n > 1 else 0.0,
+            "n": n,
+            "values": values,
         }
     successes = [r["attack"]["success"] for r in reports if r["attack"]["success"] is not None]
     reversals = sum(r["confirmation"]["reversals"] for r in reports)
@@ -170,9 +168,10 @@ def cmd_curves(args) -> int:
             rows.append([k, p, prism_vote_aggregation(args.m, p)])
     elif args.kind == "utilization":
         header = ["beta", "max_f_delta", "utilization"]
-        for beta in np.arange(0.05, 0.5, 0.05):
-            bound = security_constraint(float(beta))
-            rows.append([round(float(beta), 2), bound, bound / args.hops])
+        # the grid np.arange(0.05, 0.5, 0.05) gave: start + i * step
+        for beta in (0.05 + i * 0.05 for i in range(9)):
+            bound = security_constraint(beta)
+            rows.append([round(beta, 2), bound, bound / args.hops])
     elif args.kind == "spam_jitter":
         header = ["jitter_mean_s", "analytic_bound", "simulated_normalized"]
         for mean_s in args.jitter_grid:

@@ -11,8 +11,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-import numpy as np
-
 
 def _percentile(ordered: list[float], q: float) -> float:
     """``np.percentile(ordered, 100 * q)`` by numpy's default ``linear``
@@ -27,14 +25,56 @@ def _percentile(ordered: list[float], q: float) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
+def _pairwise_sum(values: list[float], start: int, n: int) -> float:
+    """numpy's pairwise sum of ``values[start:start + n]``, bit for bit:
+    in order below 8 values, in 8 strided accumulators up to 128, and
+    above that the two halves, split at a multiple of 8, summed apart."""
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        acc = values[start:start + 8]
+        end = start + n - n % 8
+        for i in range(start + 8, end, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for i in range(end, start + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+
+
+def _sum(values: list[float]) -> float:
+    """``np.sum`` of a list of floats: the pairwise sum added to the
+    reduction's start, 0.0 (which turns a sum of -0.0 into 0.0)."""
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def mean(values: list[float]) -> float:
+    """``np.mean`` of a non-empty list of floats, bit for bit."""
+    return _sum(values) / len(values)
+
+
+def sample_std(values: list[float]) -> float:
+    """``np.std(values, ddof=1)`` of two or more floats, bit for bit: the
+    squared deviations from the mean summed as numpy sums them."""
+    centre = mean(values)
+    return math.sqrt(_sum([(x - centre) * (x - centre) for x in values]) / (len(values) - 1))
+
+
 def latency_stats(samples, steady_start: float) -> dict:
     """Median/p95/mean confirmation latency over steady-state samples.
 
     A sample's latency runs from the mining of its containing block to
     its confirmation; only transactions whose block was mined after the
-    steady-state cutoff count.  The median and p95 equal ``np.median``
-    and ``np.percentile(..., 95)`` bit for bit; computing them here
-    keeps numpy's masked-array module, which those import, out of a run.
+    steady-state cutoff count.  The median, p95 and mean equal
+    ``np.median``, ``np.percentile(..., 95)`` and ``np.mean`` bit for
+    bit, without numpy.
     """
     lat = [
         s.confirmed_at - s.mined_at
@@ -50,7 +90,7 @@ def latency_stats(samples, steady_start: float) -> dict:
     return {
         "median_s": median,
         "p95_s": _percentile(ordered, 0.95),
-        "mean_s": float(np.asarray(lat).mean()),
+        "mean_s": mean(lat),
         "samples": len(lat),
     }
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .blocks import (
     PROPOSER,
     Block,
@@ -29,6 +27,7 @@ from .blocks import (
 from .chain import ChainState, Genesis, VoterSlots
 from .ledger import Transaction
 from .merkle import MerkleTree
+from .rng import Generator
 from .serialize import u32, u64
 
 
@@ -101,7 +100,7 @@ def honest_context(
 
 
 def schedule_mining(
-    hash_power: float, total_rate: float, now: float, rng: np.random.Generator
+    hash_power: float, total_rate: float, now: float, rng: Generator
 ) -> float | None:
     """Time of the next mining completion, or None for a powerless miner."""
     if total_rate <= 0:

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, count
 
-import numpy as np
-
 from .blocks import (
     PROPOSER,
     TRANSACTION,
@@ -61,6 +59,7 @@ from .mining import (
     schedule_mining,
 )
 from .metrics import MetricsReport, latency_stats
+from .rng import default_rng
 
 # event kinds
 MINE = 0
@@ -193,7 +192,7 @@ def build_topology(cfg: dict, seed: int) -> Topology:
     elif kind == "ring":
         edges, adjacency = _graph(n, [(i, (i + 1) % n) for i in range(n)])
     else:
-        rng_seed = int(np.random.default_rng([seed, 0xA11CE]).integers(2**31))
+        rng_seed = default_rng([seed, 0xA11CE]).integers(2**31)
         for attempt in count():
             edges, adjacency = _graph(n, _random_regular_pairs(topo["degree"], n, rng_seed + attempt))
             if None not in _hops_from(adjacency, 0):
@@ -245,7 +244,7 @@ class Peer:
         self.id = node_id
         self.sim = weakref.proxy(sim)
         self.hash_power = hash_power
-        self.rng = np.random.default_rng([sim.seed, 1, node_id])
+        self.rng = default_rng([sim.seed, 1, node_id])
 
 
 class EventCore:
@@ -278,7 +277,7 @@ class EventCore:
         # (peer, digest) -> earliest arrival of a scheduled copy not yet delivered
         self.in_flight: dict[tuple[int, bytes], float] = {}
 
-        self.workload_rng = np.random.default_rng([seed, 2])
+        self.workload_rng = default_rng([seed, 2])
         self.wallets = [self.scheme.keypair(b"wallet" + i.to_bytes(4, "little")) for i in range(WALLETS)]
         self.genesis_utxo = self._build_genesis_utxo()
         self._unused_coins = list(self.genesis_utxo.values())
@@ -312,14 +311,14 @@ class EventCore:
     def _schedule_workload(self) -> None:
         tps = self.cfg["workload"]["tps"]
         if tps > 0:
-            self.push(float(self.workload_rng.exponential(1.0 / tps)), TX, None)
+            self.push(self.workload_rng.exponential(1.0 / tps), TX, None)
 
     def _next_payment(self) -> Transaction | None:
         taken = self._take_coin()
         if taken is None:
             return None
         coin, owner = taken
-        recipient = self.wallets[int(self.workload_rng.integers(WALLETS))]
+        recipient = self.wallets[self.workload_rng.integers(WALLETS)]
         return self._spend(coin, owner, recipient.public)
 
     def _spend(self, coin: Utxo, owner, recipient: bytes) -> Transaction:
@@ -331,13 +330,13 @@ class EventCore:
     def _handle_tx_event(self, now: float) -> None:
         tx = self._next_payment()
         tps = self.cfg["workload"]["tps"]
-        self.push(now + float(self.workload_rng.exponential(1.0 / tps)), TX, None)
+        self.push(now + self.workload_rng.exponential(1.0 / tps), TX, None)
         if tx is None:
             return
         self.generated_txs += 1
         # users cannot tell honest miners apart, so payments go to a
         # uniformly chosen node
-        node = self.nodes[int(self.workload_rng.integers(len(self.nodes)))]
+        node = self.nodes[self.workload_rng.integers(len(self.nodes))]
         node.on_transaction(tx, now)
 
     # --- event plumbing -----------------------------------------------------------------
@@ -499,7 +498,7 @@ class Node(Peer):
         self.state = ChainState(
             sim.params.m, vote_rule=sim.cfg["prism"]["vote_rule"], genesis=sim.genesis
         )
-        self.jitter_rng = np.random.default_rng([sim.seed, 3, node_id])
+        self.jitter_rng = default_rng([sim.seed, 3, node_id])
         self.strategy = None  # set by the adversary module when applicable
         self.last_superblock = LastSuperblock(sim.genesis_superblock)
 
@@ -515,7 +514,7 @@ class Node(Peer):
     def on_mining_complete(self, now: float) -> None:
         ctx = self.build_context(now)
         block = finish_mining(
-            ctx, self.sim.params, float(self.rng.random()), int(self.rng.integers(2**62)),
+            ctx, self.sim.params, self.rng.random(), self.rng.integers(2**62),
             self.last_superblock,
         )
         self.sim.record_mined(block, now, self.id)
@@ -563,9 +562,9 @@ class Node(Peer):
         jitter = self.sim.cfg["spam"]["jitter"]
         kind = jitter["kind"]
         if kind == "uniform":
-            return float(self.jitter_rng.uniform(0.0, jitter["max_s"]))
+            return self.jitter_rng.uniform(0.0, jitter["max_s"])
         if kind == "exponential":
-            return float(self.jitter_rng.exponential(jitter["mean_s"]))
+            return self.jitter_rng.exponential(jitter["mean_s"])
         return 0.0
 
 
@@ -692,13 +691,13 @@ class Simulation(EventCore):
         super()._schedule_workload()
         spam = self.cfg["spam"]
         if spam["enabled"]:
-            self.push(float(self.workload_rng.exponential(1.0 / spam["tps"])), SPAM, None)
+            self.push(self.workload_rng.exponential(1.0 / spam["tps"]), SPAM, None)
 
     def _handle_spam_event(self, now: float) -> None:
         """One conflict set: distinct spends of one coin, delivered to all
         honest nodes simultaneously."""
         spam = self.cfg["spam"]
-        self.push(now + float(self.workload_rng.exponential(1.0 / spam["tps"])), SPAM, None)
+        self.push(now + self.workload_rng.exponential(1.0 / spam["tps"]), SPAM, None)
         taken = self._take_coin()
         if taken is None:
             return

@@ -3,10 +3,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from prismsim.cli import aggregate_reports, main, run_batch
 from prismsim.config import resolve
+from prismsim.netsim import security_constraint
 
 
 def write_config(tmp_path, overrides):
@@ -66,7 +68,7 @@ def test_high_beta_exits_nonzero_naming_field(tmp_path, capsys):
     "command", [["run"], ["batch"], ["curves", "utilization"]], ids=["run", "batch", "curves"]
 )
 def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
-    # numpy's default_rng raised ValueError on a negative seed
+    # default_rng raises ValueError on a negative seed
     with pytest.raises(SystemExit) as exit_:
         main(command + ["--seed", "-1", "--out", str(tmp_path / "x")])
     assert exit_.value.code == 2
@@ -202,6 +204,9 @@ def test_curves_utilization(tmp_path):
         rows = {float(r["beta"]): r for r in csv.DictReader(fh)}
     assert float(rows[0.45]["utilization"]) == pytest.approx(0.0444, abs=5e-4)
     assert float(rows[0.45]["max_f_delta"]) == pytest.approx(0.2222, abs=5e-4)
+    # the beta grid is np.arange(0.05, 0.5, 0.05), bit for bit
+    grid = [float(b) for b in np.arange(0.05, 0.5, 0.05)]
+    assert [float(r["max_f_delta"]) for r in rows.values()] == [security_constraint(b) for b in grid]
 
 
 def test_curves_spam_jitter_bound_column_exact(tmp_path):

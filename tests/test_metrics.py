@@ -47,14 +47,15 @@ from prismsim.config import resolve
 from prismsim.netsim import run
 report = run(resolve({"duration": 30.0}), 0).report
 print(json.dumps([report.latency["samples"], sorted(
-    m for m in ("numpy.ma", "concurrent.futures") if m in sys.modules
+    m for m in ("numpy", "numpy.ma", "concurrent.futures") if m in sys.modules
 )]))
 """
 
 
 def test_a_run_imports_no_masked_arrays_and_no_pools():
-    """numpy's masked arrays (which np.median imports) and the executors
-    (parallel sanitization, batch runs) stay out of a run's process."""
+    """numpy (the run draws from ``prismsim.rng``), its masked arrays
+    (which np.median imports) and the executors (parallel sanitization,
+    batch runs) stay out of a run's process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(prismsim.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", _DESK_RUN], env={**os.environ, "PYTHONPATH": src},
