@@ -5,7 +5,7 @@ proofs verifying, then rebuilds the classic two-level ledger example where
 a duplicate payment and a double-spend get sanitized away.
 """
 from prismsim.blocks import SortitionParams, sortition, validate_block
-from prismsim.chain import ChainState
+from prismsim.chain import ChainState, Genesis
 from prismsim.confirmation import build_ledger
 from prismsim.crypto import get_scheme
 from prismsim.ledger import TxInput, TxOutput, Utxo, sanitize, signed_transaction
@@ -30,7 +30,8 @@ print("observed over 2000 draws:", dict(sorted(counts.items())))
 print()
 
 print("=== mining: assemble all m+2 sub-blocks, keep the winner ===")
-state = ChainState(m)
+genesis = Genesis(m)
+state = ChainState(m, genesis=genesis)
 keys = [scheme.keypair(bytes([i])) for i in range(4)]
 coin = Utxo(bytes(32), 0, 10, keys[0].public)
 utxo = {coin.id: coin}
@@ -52,13 +53,13 @@ from prismsim.mining import MinerContext
 
 def forge_tx_block(txs, nonce):
     c = MinerContext(0, state.proposer_genesis, 0,
-                     [t.genesis for t in state.voter_trees], list(txs), (), (),
+                     list(genesis.voters), list(txs), (), (),
                      [[] for _ in range(m)])
     return finish_mining(c, params, 0.80, nonce)
 
 def forge_proposer(parent, level, prp_refs, tx_refs, nonce):
     c = MinerContext(0, parent, level - 1,
-                     [t.genesis for t in state.voter_trees], [], tuple(prp_refs),
+                     list(genesis.voters), [], tuple(prp_refs),
                      tuple(tx_refs), [[] for _ in range(m)])
     return finish_mining(c, params, 0.97, nonce)
 

@@ -12,7 +12,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .blocks import Block, PROPOSER, TRANSACTION
-from .chain import ChainState, VoterSlots, VoterTree, _expect_equal
+from .chain import ChainState, VoterSlots, _expect_equal
 from .mining import MinerContext, honest_context
 
 
@@ -134,32 +134,34 @@ class PrivateDoubleSpendStrategy(Strategy, VoterSlots):
 
     # --- fork bookkeeping -------------------------------------------------------
 
-    def _fork(self, tree: VoterTree) -> _PrivateFork:
-        """A private fork of the public ``tree`` as it stands now."""
-        base = tree.tip
-        base_len = tree.tip_chainlen
-        voted = {level for level in tree.main_votes}
-        target_vote = tree.main_votes.get(self.target_level)
+    def _fork(self, state: ChainState, index: int) -> _PrivateFork:
+        """A private fork of public voter chain ``index`` as it stands now."""
+        base = state.voter_tips[index]
+        base_len = state.voter_tip_heights[index]
+        main_votes = state.main_votes[index]
+        voted = set(main_votes)
+        target_vote = main_votes.get(self.target_level)
         if target_vote is not None:
             # fork below the public vote for the target level so the
             # private chain can recast it: from the main-chain block just
             # under the voting one
-            _, vote_chainlen = target_vote
-            while tree.chainlen(base) >= vote_chainlen:
-                base = tree.blocks[base].parent_leaf
-            base_len = vote_chainlen - 1
+            _, vote_height = target_vote
+            for _ in range(base_len - vote_height + 1):
+                base = state.blocks[base].parent_leaf
+            base_len = vote_height - 1
             voted = {
                 level
-                for level, (_, clen) in tree.main_votes.items()
-                if clen <= base_len
+                for level, (_, height) in main_votes.items()
+                if height <= base_len
             }
         return _PrivateFork(tip=base, length=base_len, voted=voted)
 
     def _start(self) -> None:
-        """Fork every voter chain from the public trees as they stand.
+        """Fork every voter chain from the public chains as they stand.
         Attacking means a block at the target level (>= 1) is stored, so
         ``votes_for`` moves next and every list is built."""
-        self.forks = [self._fork(tree) for tree in self.node.state.voter_trees]
+        state = self.node.state
+        self.forks = [self._fork(state, i) for i in range(state.m)]
         self.target_voters = {
             i for i, fork in enumerate(self.forks) if self.target_level in fork.voted
         }
@@ -266,7 +268,7 @@ class PrivateDoubleSpendStrategy(Strategy, VoterSlots):
         """Whether at least ``threshold`` forks that voted the target are
         longer than their public chains.  Only those forks can win, and
         counting stops once the answer is known."""
-        trees = self.node.state.voter_trees
+        public = self.node.state.voter_tip_heights
         forks = self.forks
         need = threshold
         left = len(self.target_voters)
@@ -274,7 +276,7 @@ class PrivateDoubleSpendStrategy(Strategy, VoterSlots):
             if need <= 0 or left < need:
                 break
             left -= 1
-            if forks[i].length > trees[i].tip_chainlen:
+            if forks[i].length > public[i]:
                 need -= 1
         return need <= 0
 

@@ -1,8 +1,9 @@
 """Per-node blockchain state machine.
 
-Ingests validated blocks into one store, derives the proposer levels and
-the m voter trees' chain lengths and longest chains, keeps the miner-facing
-pools and vote lists exact, and buffers blocks whose parents are missing.
+Ingests validated blocks into one store, derives the proposer levels and,
+in flat per-chain lists, the m voter chains' heights, longest-chain tips
+and main-chain votes, keeps the miner-facing pools and vote lists exact,
+and buffers blocks whose parents are missing.
 ``check_invariants`` recomputes the derived indexes for tests.  One
 instance per simulated node; the simulator delivers events serially per
 node.
@@ -73,80 +74,6 @@ class Genesis:
 class MempoolTx:
     tx: Transaction
     release_time: float  # spam jitter: ineligible for mining before this
-
-
-class VoterTree:
-    """One voter blocktree: each block's chain length, the longest-chain
-    tip and main-chain votes.  Walks parents through the node's store."""
-
-    def __init__(self, genesis: bytes, blocks: dict[bytes, Block]):
-        self.genesis = genesis
-        self.blocks = blocks
-        self.chainlens: dict[bytes, int] = {}
-        self.tip: bytes = self.genesis
-        self.tip_chainlen: int = 0
-        # level -> (proposer digest, chainlen of the voting block), first
-        # vote per level walking genesis -> tip
-        self.main_votes: dict[int, tuple[bytes, int]] = {}
-
-    def chainlen(self, digest: bytes) -> int:
-        return 0 if digest == self.genesis else self.chainlens[digest]
-
-    def insert(self, block: Block) -> tuple[bool, list[tuple[int, bytes]], list[tuple[int, bytes]]] | None:
-        """Insert a voter block; None, and nothing inserted, if its parent
-        is not in this tree.  The node stores the block once it is in.
-
-        Returns (tip_changed, removed_votes, added_votes) where votes are
-        (level, proposer digest) pairs entering/leaving the main chain.
-        """
-        parent = block.parent_leaf
-        chainlen = _height_above(parent, self.genesis, self.chainlens)
-        if chainlen is None:
-            return None
-        self.chainlens[block.digest] = chainlen
-        if chainlen <= self.tip_chainlen:
-            return False, [], []  # shorter or tie: first arrival keeps the tip
-        added: list[tuple[int, bytes]] = []
-        removed: list[tuple[int, bytes]] = []
-        if parent == self.tip:
-            for level, digest in block.content.votes:
-                if level not in self.main_votes:
-                    self.main_votes[level] = (digest, chainlen)
-                    added.append((level, digest))
-        else:
-            old, self.main_votes = self.main_votes, {}
-            for clen, chain_block in enumerate([*self.walk_from_genesis(parent), block], 1):
-                for level, digest in chain_block.content.votes:
-                    if level not in self.main_votes:
-                        self.main_votes[level] = (digest, clen)
-            for level, (digest, _) in old.items():
-                new = self.main_votes.get(level)
-                if new is None or new[0] != digest:
-                    removed.append((level, digest))
-            for level, (digest, _) in self.main_votes.items():
-                prev = old.get(level)
-                if prev is None or prev[0] != digest:
-                    added.append((level, digest))
-        self.tip = block.digest
-        self.tip_chainlen = chainlen
-        return True, removed, added
-
-    def walk_from_genesis(self, tip: bytes) -> list[Block]:
-        chain = []
-        digest = tip
-        while digest != self.genesis:
-            block = self.blocks[digest]
-            chain.append(block)
-            digest = block.parent_leaf
-        chain.reverse()
-        return chain
-
-    def vote_and_depth(self, level: int) -> tuple[bytes, int] | None:
-        hit = self.main_votes.get(level)
-        if hit is None:
-            return None
-        digest, chainlen = hit
-        return digest, self.tip_chainlen - chainlen + 1
 
 
 @dataclass(frozen=True)
@@ -223,10 +150,18 @@ class ChainState(VoterSlots):
         self.m = m
         self.vote_rule = vote_rule
         self.proposer_genesis = genesis.proposer
-        # every stored block of every kind, by digest; the trees keep heights only
+        # every stored block of every kind, by digest
         self.blocks: dict[bytes, Block] = {}
-        self.voter_trees = [VoterTree(digest, self.blocks) for digest in genesis.voters]
         self.genesis_digests = genesis.digests
+        self.voter_genesis = genesis.voters
+        # voter chains: every stored voter block's height (a chain's
+        # genesis is 0; digests are unique across chains), each chain's
+        # tip height beside its tip in ``voter_tips``, and each main
+        # chain's votes: level -> (proposer digest, height of the voting
+        # block), the first vote per level walking genesis -> tip
+        self.voter_heights: dict[bytes, int] = {}
+        self.voter_tip_heights = [0] * m
+        self.main_votes: list[dict[int, tuple[bytes, int]]] = [{} for _ in range(m)]
 
         self.prp_levels: dict[bytes, int] = {}
         self.prp_by_level: dict[int, list[bytes]] = {}
@@ -242,7 +177,7 @@ class ChainState(VoterSlots):
         # transaction block spends it
         self.spent_coins: dict[CoinId, bytes | None] = {}
 
-        # main-chain vote tallies across all trees: level -> digest -> count
+        # main-chain vote tallies across all chains: level -> digest -> count
         self.votes_by_level: dict[int, dict[bytes, int]] = {}
         # vote_choice(level) for every proposer level
         self.vote_choices: dict[int, bytes] = {}
@@ -256,7 +191,6 @@ class ChainState(VoterSlots):
         # tx-block digests claimed by proposer blocks (including claims
         # that arrived before the tx block itself)
         self.referenced_tx_digests: set[bytes] = set()
-        self.voter_blocks_stored = 0
 
     # --- transactions ---------------------------------------------------------
 
@@ -398,45 +332,95 @@ class ChainState(VoterSlots):
         return ["tx_block"]
 
     def _insert_voter(self, block: Block) -> list[str]:
+        """Store a voter block whose parent is its chain's genesis or a
+        stored block of its chain, and reject any other.  A block longer
+        than the tip becomes the tip; the first arrival keeps a tie."""
         index = block.block_type.chain_index
-        tree = self.voter_trees[index]
-        inserted = tree.insert(block)
-        if inserted is None:
+        parent = block.parent_leaf
+        height = self._voter_height_above(parent, index)
+        if height is None:
             return self._reject(block)  # rejected, or of another chain or kind
+        self.voter_heights[block.digest] = height
         self.blocks[block.digest] = block
-        tip_changed, removed, added = inserted
-        self.voter_blocks_stored += 1
         changes = [f"voter_stored:{index}"]
-        if tip_changed:
-            changes.append(f"voter_tip:{index}")
-            self.voter_tips[index] = block.digest
-            main_votes = tree.main_votes
-            if removed:
-                # reorg: every level up to the top the new main chain lacks
-                choices = self.vote_choices
-                self.vote_lists[index] = [
-                    (level, choices[level])
-                    for level in range(1, self.prp_parent_level + 1)
-                    if level not in main_votes
-                ]
-            elif added:
-                self.vote_lists[index] = [
-                    vote for vote in self.vote_lists[index] if vote[0] not in main_votes
-                ]
-            for level, digest in removed:
-                counts = self.votes_by_level.get(level)
-                if counts is not None:
-                    counts[digest] -= 1
-                    if counts[digest] <= 0:
-                        del counts[digest]
-            for level, digest in added:
-                counts = self.votes_by_level.setdefault(level, {})
-                counts[digest] = counts.get(digest, 0) + 1
-            if self.vote_rule == MOST_VOTED:
-                for level in {level for level, _ in removed + added}:
-                    self._recheck_choice(level)
-            self._slots_changed((index,))
+        if height <= self.voter_tip_heights[index]:
+            return changes
+        changes.append(f"voter_tip:{index}")
+        # (level, proposer digest) votes entering and leaving the main chain
+        added: list[tuple[int, bytes]] = []
+        removed: list[tuple[int, bytes]] = []
+        main_votes = self.main_votes[index]
+        if parent == self.voter_tips[index]:
+            for level, digest in block.content.votes:
+                if level not in main_votes:
+                    main_votes[level] = (digest, height)
+                    added.append((level, digest))
+        else:
+            old = main_votes
+            main_votes = self.main_votes[index] = self._main_votes(index, block.digest)
+            for level, (digest, _) in old.items():
+                new = main_votes.get(level)
+                if new is None or new[0] != digest:
+                    removed.append((level, digest))
+            for level, (digest, _) in main_votes.items():
+                prev = old.get(level)
+                if prev is None or prev[0] != digest:
+                    added.append((level, digest))
+        self.voter_tips[index] = block.digest
+        self.voter_tip_heights[index] = height
+        if removed:
+            # reorg: every level up to the top the new main chain lacks
+            choices = self.vote_choices
+            self.vote_lists[index] = [
+                (level, choices[level])
+                for level in range(1, self.prp_parent_level + 1)
+                if level not in main_votes
+            ]
+        elif added:
+            self.vote_lists[index] = [
+                vote for vote in self.vote_lists[index] if vote[0] not in main_votes
+            ]
+        for level, digest in removed:
+            counts = self.votes_by_level.get(level)
+            if counts is not None:
+                counts[digest] -= 1
+                if counts[digest] <= 0:
+                    del counts[digest]
+        for level, digest in added:
+            counts = self.votes_by_level.setdefault(level, {})
+            counts[digest] = counts.get(digest, 0) + 1
+        if self.vote_rule == MOST_VOTED:
+            for level in {level for level, _ in removed + added}:
+                self._recheck_choice(level)
+        self._slots_changed((index,))
         return changes
+
+    def _voter_height_above(self, parent: bytes, index: int) -> int | None:
+        """``parent``'s height on voter chain ``index`` plus one; None
+        unless it is that chain's genesis or a stored block of it."""
+        if parent == self.voter_genesis[index]:
+            return 1
+        height = self.voter_heights.get(parent)
+        if height is None or self.blocks[parent].block_type.chain_index != index:
+            return None
+        return height + 1
+
+    def _main_votes(self, index: int, tip: bytes) -> dict[int, tuple[bytes, int]]:
+        """The first vote per level on voter chain ``index`` walking its
+        genesis -> ``tip``, a stored block: level -> (proposer digest,
+        height of the voting block)."""
+        genesis, blocks = self.voter_genesis[index], self.blocks
+        chain = []
+        while tip != genesis:
+            block = blocks[tip]
+            chain.append(block)
+            tip = block.parent_leaf
+        votes: dict[int, tuple[bytes, int]] = {}
+        for height, block in enumerate(reversed(chain), 1):
+            for level, digest in block.content.votes:
+                if level not in votes:
+                    votes[level] = (digest, height)
+        return votes
 
     def _insert_proposer(self, block: Block) -> list[str]:
         parent = block.parent_leaf
@@ -488,7 +472,7 @@ class ChainState(VoterSlots):
         """Give every chain whose main chain has not voted ``level`` the
         list ``rewrite(its list)``.  Chains that held equal lists share one
         new list, so a superblock serializes it once."""
-        owing = [i for i, t in enumerate(self.voter_trees) if level not in t.main_votes]
+        owing = [i for i, votes in enumerate(self.main_votes) if level not in votes]
         lists = self.vote_lists
         rewritten: dict[tuple, list[tuple[int, bytes]]] = {}
         for i in owing:
@@ -525,30 +509,39 @@ class ChainState(VoterSlots):
         """Recompute the derived indexes from scratch and compare them
         with the kept ones; raise AssertionError on the first mismatch.
 
-        Covers the chain lengths and levels (from each block's parent), the
-        vote tallies (from every tree's main-chain votes), the vote choices,
-        the coin index (from the mempool and every stored transaction
-        block), the voter tips and the honest vote lists.
+        Covers the levels and voter heights (from each block's parent),
+        the voter tips and their heights (from the heights in arrival
+        order), each chain's main-chain votes (walking genesis -> tip), the
+        vote tallies (from those votes), the vote choices, the coin index
+        (from the mempool and every stored transaction block) and the
+        honest vote lists.
         Costs a pass over the whole state: for tests, not runs.
         """
         # a stored block is a transaction block, a proposer block with a
-        # level or a voter block in its own chain, and no other has a height
+        # level or a voter block in its own chain, and no other has a
+        # height.  A chain's tip is its first stored block of the greatest
+        # height: the first arrival keeps a tie
         fresh_levels: dict[bytes, int | None] = {}
-        fresh_chainlens: list[dict[bytes, int | None]] = [{} for _ in self.voter_trees]
+        fresh_heights: dict[bytes, int | None] = {}
+        tips, tip_heights = list(self.voter_genesis), [0] * self.m
         for digest, block in self.blocks.items():
             kind, parent = block.block_type.kind, block.parent_leaf
             if kind == PROPOSER:
                 fresh_levels[digest] = _height_above(parent, self.proposer_genesis, self.prp_levels)
             elif kind == VOTER:
                 i = block.block_type.chain_index
-                tree = self.voter_trees[i]
-                fresh_chainlens[i][digest] = _height_above(parent, tree.genesis, tree.chainlens)
+                height = fresh_heights[digest] = self._voter_height_above(parent, i)
+                if height is not None and height > tip_heights[i]:
+                    tips[i], tip_heights[i] = digest, height
         _expect_equal("prp_levels", self.prp_levels, fresh_levels)
-        for i, tree in enumerate(self.voter_trees):
-            _expect_equal(f"chain lengths of chain {i}", tree.chainlens, fresh_chainlens[i])
+        _expect_equal("voter_heights", self.voter_heights, fresh_heights)
+        _expect_equal("voter_tip_heights", self.voter_tip_heights, tip_heights)
+        _expect_equal("voter_tips", self.voter_tips, tips)
+        for i, tip in enumerate(tips):
+            _expect_equal(f"main votes of chain {i}", self.main_votes[i], self._main_votes(i, tip))
         tallies: dict[int, dict[bytes, int]] = {}
-        for tree in self.voter_trees:
-            for level, (digest, _) in tree.main_votes.items():
+        for main_votes in self.main_votes:
+            for level, (digest, _) in main_votes.items():
                 counts = tallies.setdefault(level, {})
                 counts[digest] = counts.get(digest, 0) + 1
         kept = {level: counts for level, counts in self.votes_by_level.items() if counts}
@@ -563,17 +556,15 @@ class ChainState(VoterSlots):
             if block.block_type.kind == TRANSACTION:
                 coins.update((coin, None) for tx in block.content.txs for coin in tx.inputs)
         _expect_equal("spent_coins", self.spent_coins, coins)
-        _expect_equal("voter_tips", self.voter_tips, [t.tip for t in self.voter_trees])
-        for i, tree in enumerate(self.voter_trees):
-            fresh = [(level, choices[level]) for level in levels if level not in tree.main_votes]
+        for i, main_votes in enumerate(self.main_votes):
+            fresh = [(level, choices[level]) for level in levels if level not in main_votes]
             _expect_equal(f"honest vote list of chain {i}", self.vote_lists[i], fresh)
 
     def voter_fork_rate(self) -> float:
-        total = self.voter_blocks_stored
+        total = len(self.voter_heights)
         if total == 0:
             return 0.0
-        on_main = sum(t.tip_chainlen for t in self.voter_trees)
-        return 1.0 - on_main / total
+        return 1.0 - sum(self.voter_tip_heights) / total
 
     def proposer_fork_rate(self) -> float:
         total = len(self.prp_levels)

@@ -246,18 +246,18 @@ def validate(cfg: dict) -> None:
     else:
         rates["longest_chain.rate"] = lc["rate"]
     events = {field: rate * duration for field, rate in rates.items()}
-    trees = {"prism.m": n * prism["m"]} if cfg["protocol"] == "prism" else {}
+    chains = {"prism.m": n * prism["m"]} if cfg["protocol"] == "prism" else {}
     edges = {"regular": n * topo["degree"] // 2, "ring": n, "complete": n * (n - 1) // 2}[topo["kind"]]
     # set-up costs about 3 us and 360 bytes per genesis coin, 15-50 ns per
     # search step (one breadth-first search per node over every node and
-    # adjacency entry; complete graphs cheapest, rings dearest) and 5 us
-    # and 800 bytes per voter tree (m per node); events count the mining,
+    # adjacency entry; complete graphs cheapest, rings dearest) and 0.4 us
+    # and 150 bytes per voter chain per node; events count the mining,
     # payment and checkpoint draws, not block arrivals
     for what, counts, limit in (
         ("genesis coins", coins, 10**6),
         ("events", events, 10**7),
         ("breadth-first search steps", {"topology.nodes": n * (n + 2 * edges)}, 5 * 10**7),
-        ("voter trees", trees, 10**6),
+        ("per-node voter chains", chains, 10**6),
     ):
         if sum(counts.values()) > limit:
             raise ConfigError(max(counts, key=counts.get), f"the run would make over {limit} {what}")

@@ -253,14 +253,14 @@ def make_tally(state: ChainState, level: int, beta: float, epsilon: float) -> Vo
     """Collect main-chain votes and depths for one level of a node's view.
 
     The fork rate is the instantaneous empirical rate across the node's
-    voter trees at call time.
+    voter chains at call time.
     """
     depths: dict[bytes, list[int]] = {}
-    for tree in state.voter_trees:
-        hit = tree.vote_and_depth(level)
+    for main_votes, tip_height in zip(state.main_votes, state.voter_tip_heights):
+        hit = main_votes.get(level)
         if hit is not None:
-            digest, depth = hit
-            depths.setdefault(digest, []).append(depth)
+            digest, height = hit
+            depths.setdefault(digest, []).append(tip_height - height + 1)
     order = {d: i for i, d in enumerate(state.candidates_at(level))}
     candidates = tuple(
         VoteCandidate(digest, tuple(d)) for digest, d in

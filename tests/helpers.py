@@ -10,7 +10,7 @@ from prismsim.blocks import (
     genesis_voter_digest,
     validate_block,
 )
-from prismsim.chain import ChainState
+from prismsim.chain import ChainState, Genesis
 from prismsim.crypto import get_scheme
 from prismsim.ledger import TxInput, TxOutput, Utxo, signed_transaction
 from prismsim.mining import LastSuperblock, MinerContext, finish_mining, honest_context
@@ -72,11 +72,12 @@ _FORGE_NONCE = [0]
 def forge_tx_block(params: SortitionParams, txs, miner_id=0) -> "Block":
     """Mine a transaction block carrying exactly these transactions."""
     _FORGE_NONCE[0] += 1
+    genesis = Genesis(params.m)
     ctx = MinerContext(
         miner_id=miner_id,
-        prp_parent=ChainState(params.m).proposer_genesis,
+        prp_parent=genesis.proposer,
         prp_parent_level=0,
-        vt_parent=[ChainState(params.m).voter_trees[i].genesis for i in range(params.m)],
+        vt_parent=list(genesis.voters),
         txs=list(txs),
         unref_prp_refs=(),
         unref_tx_refs=(),
@@ -92,7 +93,7 @@ def forge_proposer(params: SortitionParams, parent, level, prp_refs=(), tx_refs=
         miner_id=miner_id,
         prp_parent=parent,
         prp_parent_level=level - 1,
-        vt_parent=[ChainState(params.m).voter_trees[i].genesis for i in range(params.m)],
+        vt_parent=list(Genesis(params.m).voters),
         txs=[],
         unref_prp_refs=tuple(prp_refs),
         unref_tx_refs=tuple(tx_refs),
@@ -118,6 +119,27 @@ def forge_voter(params, chain_index, parent):
     block = finish_mining(ctx, params, u_for(params, "voter", chain_index), 1000 + chain_index)
     validate_block(block, params, SCHEME)
     return block
+
+
+def main_chain(state: ChainState, index: int) -> list:
+    """Voter chain ``index``'s main chain from its genesis (excluded) to
+    its tip, walked through the store."""
+    chain, digest = [], state.voter_tips[index]
+    while digest != state.voter_genesis[index]:
+        block = state.blocks[digest]
+        chain.append(block)
+        digest = block.parent_leaf
+    return chain[::-1]
+
+
+def vote_and_depth(state: ChainState, index: int, level: int):
+    """Voter chain ``index``'s main-chain vote at ``level`` and its depth
+    (1 in the tip), or None if the main chain has not voted ``level``."""
+    hit = state.main_votes[index].get(level)
+    if hit is None:
+        return None
+    digest, height = hit
+    return digest, state.voter_tip_heights[index] - height + 1
 
 
 def genesis_set(n_coins, value=10, owners=None):

@@ -262,8 +262,8 @@ def pooled_tree_forking(results) -> tuple[float, float, float]:
     v_total = v_main = p_total = p_main = 0
     for result in results:
         state = result.sim.nodes[result.sim.observer].state
-        v_total += state.voter_blocks_stored
-        v_main += sum(t.tip_chainlen for t in state.voter_trees)
+        v_total += len(state.voter_heights)
+        v_main += sum(state.voter_tip_heights)
         p_total += len(state.prp_levels)
         p_main += state.prp_parent_level
     voter = 1.0 - v_main / v_total

@@ -102,10 +102,10 @@ def test_release_count_stops_early_with_the_full_count_verdict(chains, threshold
     than its public chain would, for whole and half thresholds."""
     strategy = PrivateDoubleSpendStrategy(target_level=1, release_margin=0, release_timeout=1.0)
     strategy.forks = [SimpleNamespace(length=private) for private, _, _ in chains]
-    trees = [SimpleNamespace(tip_chainlen=public) for _, public, _ in chains]
-    strategy.node = SimpleNamespace(state=SimpleNamespace(voter_trees=trees))
+    public = [public for _, public, _ in chains]
+    strategy.node = SimpleNamespace(state=SimpleNamespace(voter_tip_heights=public))
     strategy.target_voters = {i for i, (_, _, voted) in enumerate(chains) if voted}
-    full = sum(strategy.forks[i].length > trees[i].tip_chainlen for i in strategy.target_voters)
+    full = sum(strategy.forks[i].length > public[i] for i in strategy.target_voters)
     assert strategy._winning(threshold) == (full >= threshold)
 
 

@@ -6,7 +6,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    KEYS, SCHEME, Bench, forge_proposer, forge_tx_block, forge_voter, genesis_set, make_params, spend,
+    KEYS, SCHEME, Bench, forge_proposer, forge_tx_block, forge_voter, genesis_set, main_chain,
+    make_params, spend, vote_and_depth,
 )
 
 from prismsim.blocks import validate_block
@@ -65,24 +66,23 @@ def test_bad_signature_rejected():
 def test_voter_block_extends_tip():
     bench = Bench()
     block = bench.mine("voter", chain_index=2)
-    tree = bench.state.voter_trees[2]
-    assert tree.tip == block.digest
-    assert tree.tip_chainlen == 1
+    assert bench.state.voter_tips[2] == block.digest
+    assert bench.state.voter_tip_heights[2] == 1
 
 
 def test_voter_fork_shorter_than_tip_stored_without_reorg():
     bench = Bench()
     b1 = bench.mine("voter", chain_index=0)
     b2 = bench.mine("voter", chain_index=0)
-    tree = bench.state.voter_trees[0]
-    assert tree.tip == b2.digest and tree.tip_chainlen == 2
+    state = bench.state
+    assert state.voter_tips[0] == b2.digest and state.voter_tip_heights[0] == 2
     # a competing block at height 1, mined from genesis by someone else
     fork_state = ChainState(bench.params.m)
     fork_bench = Bench(seed=99)
     fork = fork_bench.mine("voter", chain_index=0, miner_id=7, deliver=False)
     changes = bench.state.receive_block(fork)
     assert f"voter_stored:0" in changes and f"voter_tip:0" not in changes
-    assert tree.tip == b2.digest
+    assert state.voter_tips[0] == b2.digest and state.voter_tip_heights[0] == 2
 
 
 def test_first_arrival_tie_break_keeps_tip():
@@ -91,7 +91,7 @@ def test_first_arrival_tie_break_keeps_tip():
     rival_bench = Bench(seed=123)
     rival = rival_bench.mine("voter", chain_index=0, miner_id=9, deliver=False)
     bench.state.receive_block(rival)
-    assert bench.state.voter_trees[0].tip == b1.digest
+    assert bench.state.voter_tips[0] == b1.digest
 
 
 def test_vote_depths_follow_main_chain():
@@ -99,13 +99,13 @@ def test_vote_depths_follow_main_chain():
     bench.mine("proposer")  # level 1, gives every chain a vote candidate
     vote_block = bench.mine("voter", chain_index=1)
     assert vote_block.content.votes  # carries the level-1 vote
-    assert bench.state.voter_trees[1].vote_and_depth(1)[1] == 1  # vote in the tip
+    assert vote_and_depth(bench.state, 1, 1)[1] == 1  # vote in the tip
     for _ in range(3):
         bench.mine("voter", chain_index=1)
-    digest, depth = bench.state.voter_trees[1].vote_and_depth(1)
+    digest, depth = vote_and_depth(bench.state, 1, 1)
     assert depth == 4  # 3 blocks after it, plus one
-    assert bench.state.voter_trees[0].vote_and_depth(1) is None or True
-    assert bench.state.voter_trees[2].vote_and_depth(99) is None  # never voted
+    assert vote_and_depth(bench.state, 0, 1) is None or True
+    assert vote_and_depth(bench.state, 2, 99) is None  # never voted
 
 
 def test_voter_reorg_recomputes_votes():
@@ -116,7 +116,7 @@ def test_voter_reorg_recomputes_votes():
     prp1 = bench.mine("proposer")  # level 1
     # main chain: vote for prp1 in block v1
     v1 = bench.mine("voter", chain_index=0)
-    assert bench.state.voter_trees[0].vote_and_depth(1) == (prp1.digest, 1)
+    assert vote_and_depth(bench.state, 0, 1) == (prp1.digest, 1)
 
     # competing proposer at level 1 from another miner's view
     other = Bench(m=m, seed=5)
@@ -136,7 +136,7 @@ def test_voter_reorg_recomputes_votes():
     bench.state.receive_block(f1)
     changes = bench.state.receive_block(f2)
     assert "voter_tip:0" in changes
-    assert bench.state.voter_trees[0].vote_and_depth(1) == (prp1b.digest, 2)
+    assert vote_and_depth(bench.state, 0, 1) == (prp1b.digest, 2)
     # tally reflects the switch
     assert bench.state.votes_by_level[1] == {prp1b.digest: 1}
 
@@ -253,8 +253,7 @@ def test_one_vote_per_level_along_main_chain():
         bench.mine(str(kind), chain_index=int(rng.integers(bench.params.m)))
     for i in range(bench.params.m):
         seen_levels = []
-        tree = bench.state.voter_trees[i]
-        for block in tree.walk_from_genesis(tree.tip):
+        for block in main_chain(bench.state, i):
             for level, _ in block.content.votes:
                 seen_levels.append(level)
         assert len(seen_levels) == len(set(seen_levels))
@@ -290,14 +289,14 @@ def test_shuffled_delivery_matches_in_order_state():
         assert (shuffled.prp_parent, shuffled.prp_parent_level) == (
             in_order.prp_parent, in_order.prp_parent_level
         )
-        assert [(t.tip, t.tip_chainlen) for t in shuffled.voter_trees] == [
-            (t.tip, t.tip_chainlen) for t in in_order.voter_trees
-        ]
+        assert shuffled.voter_heights == in_order.voter_heights
+        assert (shuffled.voter_tips, shuffled.voter_tip_heights) == (
+            in_order.voter_tips, in_order.voter_tip_heights
+        )
         # pools agree as sets; their order is arrival order by design
         assert set(shuffled.unref_tx_pool) == set(in_order.unref_tx_pool)
         assert set(shuffled.unref_prp_pool) == set(in_order.unref_prp_pool)
-        for i in range(3):
-            assert shuffled.voter_trees[i].main_votes == in_order.voter_trees[i].main_votes
+        assert shuffled.main_votes == in_order.main_votes
 
 
 def test_mined_blocks_validate_over_random_pools():
@@ -350,8 +349,7 @@ def test_deep_voter_chain_delivered_tip_first():
     for block in reversed(chain):
         state.receive_block(block)
     assert not state.orphans and not state.orphan_digests
-    tree = state.voter_trees[0]
-    assert tree.tip == chain[-1].digest and tree.tip_chainlen == 5000
+    assert state.voter_tips == [chain[-1].digest] and state.voter_tip_heights == [5000]
 
 
 def test_block_lookup_agrees_with_trees_and_pools():
@@ -374,7 +372,7 @@ def test_block_lookup_agrees_with_trees_and_pools():
     for block in mined:
         assert state.has_block(block.digest)
         assert state.get_block(block.digest) is block
-    genesis = [state.proposer_genesis] + [tree.genesis for tree in state.voter_trees]
+    genesis = [state.proposer_genesis, *state.voter_genesis]
     for digest in genesis:
         assert state.has_block(digest) and state.get_block(digest) is None
     for block in orphans:
@@ -464,7 +462,7 @@ def test_shuffled_delivery_with_tampered_levels_matches_in_order_state(kinds, da
 def test_proposer_on_a_parent_of_another_kind_rejected_with_descendants():
     params = make_params(m=2)
     state = ChainState(2)
-    on_voter_genesis = forge_proposer(params, state.voter_trees[1].genesis, level=1)
+    on_voter_genesis = forge_proposer(params, state.voter_genesis[1], level=1)
     child = forge_proposer(params, on_voter_genesis.digest, level=2)
     assert "orphaned" in state.receive_block(child)
     assert state.receive_block(on_voter_genesis) == ["rejected:bad_parent", "rejected:bad_parent"]
@@ -486,13 +484,13 @@ def test_voter_block_on_a_parent_outside_its_chain_rejected():
     params = make_params(m=2)
     state = ChainState(2)
     # parent already stored elsewhere: rejected at once, not buffered
-    on_other_genesis = forge_voter(params, 0, state.voter_trees[1].genesis)
+    on_other_genesis = forge_voter(params, 0, state.voter_genesis[1])
     assert state.receive_block(on_other_genesis) == ["rejected:bad_parent"]
     assert state.receive_block(forge_voter(params, 0, on_other_genesis.digest)) == [
         "rejected:bad_parent"
     ]
     # parent delivered later: rejected when it arrives, with its descendants
-    other_chain = forge_voter(params, 1, state.voter_trees[1].genesis)
+    other_chain = forge_voter(params, 1, state.voter_genesis[1])
     proposer = forge_proposer(params, state.proposer_genesis, level=1)
     waiting = []
     for parent in (other_chain, proposer):
@@ -508,7 +506,8 @@ def test_voter_block_on_a_parent_outside_its_chain_rejected():
     assert not state.orphans and not state.orphan_digests
     for block in waiting:
         assert state.receive_block(block) == ["duplicate"]
-    assert state.voter_trees[0].chainlens == {} and state.voter_blocks_stored == 1
+    assert state.voter_heights == {other_chain.digest: 1}  # the one voter block stored
+    assert state.voter_tips[0] == state.voter_genesis[0] and state.main_votes[0] == {}
 
 
 # --- kept honest vote lists ------------------------------------------------------
@@ -649,17 +648,30 @@ def _stale_vote_list(state):
     state.vote_lists[2] = []
 
 
-def _drift_chainlen(state):
-    tree = state.voter_trees[0]
-    tree.chainlens[tree.tip] += 1
+def _drift_voter_height(state):
+    state.voter_heights[state.voter_tips[0]] += 1
+
+
+def _drift_tip_height(state):
+    state.voter_tip_heights[0] += 1
+
+
+def _drift_tip(state):
+    state.voter_tips[0] = state.voter_genesis[0]
+
+
+def _drift_main_vote(state):
+    # the voting block's height: no tally counts it
+    digest, height = state.main_votes[0][1]
+    state.main_votes[0][1] = digest, height + 1
 
 
 def _drift_level(state):
     state.prp_levels[state.prp_parent] += 1
 
 
-def _proposer_in_a_voter_tree(state):
-    state.voter_trees[1].chainlens[state.prp_parent] = 1
+def _proposer_in_the_voter_heights(state):
+    state.voter_heights[state.prp_parent] = 1
 
 
 @pytest.mark.parametrize(
@@ -670,9 +682,12 @@ def _proposer_in_a_voter_tree(state):
         (_drop_mempool_input, "spent_coins"),
         (_forget_mined_coin, "spent_coins"),
         (_stale_vote_list, "honest vote list"),
-        (_drift_chainlen, "chain lengths of chain 0"),
+        (_drift_voter_height, "voter_heights"),
         (_drift_level, "prp_levels"),
-        (_proposer_in_a_voter_tree, "chain lengths of chain 1"),
+        (_proposer_in_the_voter_heights, "voter_heights"),
+        (_drift_tip_height, "voter_tip_heights"),
+        (_drift_tip, "voter_tips"),
+        (_drift_main_vote, "main votes of chain 0"),
     ],
 )
 def test_check_invariants_reports_a_drifted_index(drift, index):

@@ -109,8 +109,8 @@ SMALL_RUN = {"duration": 2.0, "topology": {"nodes": 4, "degree": 2}, "prism": {"
         ({**SMALL_RUN, "allow_high_beta": True,
           "adversary": {"strategy": "private_double_spend", "fraction": 1.5}}, "adversary.fraction"),
         # set-up that would not finish: one breadth-first search per node
-        # (about 40 min on a 100,000-node ring), a voter tree per node and
-        # chain, a key pair per wallet (gone: 16 wallets)
+        # (about 40 min on a 100,000-node ring), the state of each voter
+        # chain at each node, a key pair per wallet (gone: 16 wallets)
         ({"topology": {"kind": "ring", "nodes": 100_000}}, "topology.nodes"),
         ({"topology": {"nodes": 1000, "degree": 6}, "prism": {"m": 1001}}, "prism.m"),
         ({"workload": {"wallets": 10**5 + 1}}, "workload.wallets"),

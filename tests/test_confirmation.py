@@ -384,7 +384,7 @@ def test_build_ledger_missing_block_errors():
     params = make_params(m=2)
     state = ChainState(2)
     stored = forge_proposer(params, state.proposer_genesis, 1)
-    voter = forge_voter(params, 0, state.voter_trees[0].genesis)
+    voter = forge_voter(params, 0, state.voter_genesis[0])
     for block in (stored, voter):
         state.receive_block(block)
     for refs in (
@@ -607,14 +607,14 @@ def two_way_level_state(tx_factory):
 
     for i in range(m):
         target = left.digest if i < m // 2 else right.digest
-        parent = state.voter_trees[i].genesis
+        parent = state.voter_genesis[i]
         for depth in range(30):
             ctx = MinerContext(
                 miner_id=3,
                 prp_parent=left.digest,
                 prp_parent_level=1,
                 vt_parent=[
-                    parent if j == i else state.voter_trees[j].tip for j in range(m)
+                    parent if j == i else state.voter_tips[j] for j in range(m)
                 ],
                 txs=[],
                 unref_prp_refs=(),

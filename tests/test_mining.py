@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import KEYS, SCHEME, Bench, genesis_set, make_params, spend, u_for
+from helpers import KEYS, SCHEME, Bench, genesis_set, main_chain, make_params, spend, u_for
 
 from prismsim.blocks import serialize_content, validate_block
 from prismsim import merkle, mining
@@ -105,7 +105,7 @@ def test_pruned_block_matches_winning_subblock():
     bench.state.receive_block(prp)
     voter = bench.mine("voter", chain_index=1, deliver=False)
     assert voter.block_type.kind == "voter"
-    assert voter.parent_ref == bench.state.voter_trees[1].tip
+    assert voter.parent_ref == bench.state.voter_tips[1]
     assert voter.content.votes == ((1, prp.digest),)
 
 
@@ -137,8 +137,7 @@ def test_voter_blocks_never_revote_ancestor_levels():
         kind = rng.choice(["proposer", "voter"], p=[0.3, 0.7])
         bench.mine(str(kind), chain_index=int(rng.integers(2)))
     for i in range(2):
-        tree = bench.state.voter_trees[i]
-        chain = tree.walk_from_genesis(tree.tip)
+        chain = main_chain(bench.state, i)
         voted = set()
         for block in chain:
             for level, _ in block.content.votes:
@@ -224,9 +223,9 @@ def _check_kept_assembly(ctx, last):
         assert last.contents.prove(i) == fresh.contents.prove(i)
 
 
-def _reorged(tree, old_tip) -> bool:
-    return old_tip != tree.genesis and old_tip not in {
-        b.digest for b in tree.walk_from_genesis(tree.tip)
+def _reorged(state, index, old_tip) -> bool:
+    return old_tip != state.voter_genesis[index] and old_tip not in {
+        b.digest for b in main_chain(state, index)
     }
 
 
@@ -269,7 +268,7 @@ def _drive(rule, steps):
             sent[who] += len(batch)
             for block in batch:
                 bench.state.receive_block(block)
-            reorgs += sum(_reorged(t, tip) for t, tip in zip(state.voter_trees, tips))
+            reorgs += sum(_reorged(state, i, tip) for i, tip in enumerate(tips))
             flips += sum(state.vote_choices[level] != d for level, d in choices.items())
         elif op == 6:
             held = main.context()
